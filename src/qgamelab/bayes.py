@@ -25,7 +25,7 @@ from .errors import (
     NormalizationError,
     ShapeMismatchError,
 )
-from .linalg import ALGEBRA_TOL, PROB_TOL, StateVector, ket
+from .linalg import ALGEBRA_TOL, PROB_TOL, StateVector, apply_on_wires, ket
 
 EQUILIBRIUM_TOL = 1e-9
 DEFAULT_ENUMERATION_LIMIT = 10 ** 7
@@ -366,21 +366,14 @@ class QuantumAdvice:
 
 def quantum_conditional(advice: QuantumAdvice) -> ConditionalDistribution:
     """Born rule: p(s|X) = |<b_{X_1 s_1} x ... x b_{X_N s_N} | psi>|^2."""
-    psi = advice.shared_state.amplitudes
+    psi = advice.shared_state.amplitudes.reshape(advice.shared_state.dims)
     table = {}
     for jt in itertools.product(*advice.types):
-        bases = [advice.measurements[i][x] for i, x in enumerate(jt)]
-        row = {}
-        for indices in itertools.product(
-                *(range(len(b)) for b in bases)):
-            bra = np.ones(1, dtype=complex)
-            for i, k in enumerate(indices):
-                bra = np.kron(bra, bases[i][k].amplitudes.conj())
-            amp = bra @ psi
-            js = tuple(advice.strategies[i][k]
-                       for i, k in enumerate(indices))
-            row[js] = float(abs(amp) ** 2)
-        table[jt] = row
+        bras = [np.array([b.amplitudes.conj() for b in per[x]])
+                for per, x in zip(advice.measurements, jt)]
+        probs = np.abs(apply_on_wires(bras, psi)) ** 2
+        table[jt] = dict(zip(itertools.product(*advice.strategies),
+                             map(float, probs.reshape(-1))))
     return ConditionalDistribution(advice.types, advice.strategies, table)
 
 
@@ -482,7 +475,7 @@ def _deterministic_responses(types: tuple[Labels, ...],
     if total > limit:
         raise EnumerationLimitError(
             f"{total} deterministic response profiles exceed the limit "
-            f"{limit}")
+            f"{limit}", total, limit)
     per_player = []
     for x_i, s_i in zip(types, strategies):
         per_player.append([
@@ -774,7 +767,7 @@ def is_advised_equilibrium(game: BayesianGame, advice,
         if count > limit:
             raise EnumerationLimitError(
                 f"player {i} has {count} deviation functions, over the "
-                f"limit {limit}")
+                f"limit {limit}", count, limit)
         for choice in itertools.product(game.strategies[i],
                                         repeat=len(pairs)):
             deviation = dict(zip(pairs, choice))

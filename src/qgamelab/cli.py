@@ -255,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--output", choices=("table", "json"),
                         default="table", help="report format")
-    shared.add_argument("--tolerance", type=float, default=None,
-                        help="numeric tolerance override")
-    shared.add_argument("--limit", type=int, default=None,
-                        help="enumeration cap override")
 
     parser = argparse.ArgumentParser(
         prog="qgamelab",
@@ -276,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="path to an ewl JSON spec")
     p.add_argument("--pareto", action="store_true",
                    help="also list Pareto-optimal profiles")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="numeric tolerance override")
     p.set_defaults(handler=_cmd_ewl_nash)
 
     p = sub.add_parser("ewl-state", parents=[shared],
@@ -296,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="path to a bayes JSON spec")
     p.add_argument("--player", type=int, default=0,
                    help="player index (0-based)")
+    p.add_argument("--limit", type=int, default=None,
+                   help="enumeration cap override")
     p.set_defaults(handler=_cmd_bell_bound)
 
     p = sub.add_parser("bell-value", parents=[shared],

@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import ShapeMismatchError, UnboundBoxError
-from ..linalg import LinearMap, identity
+from ..linalg import LinearMap, apply_on_wires, check_dims, identity
 from .observables import ObservableStructure, PhaseElement
 from .terms import (
     Box,
@@ -30,16 +30,13 @@ from .terms import (
 )
 
 
-def _point_power(vec: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones(1, dtype=complex)
-    for _ in range(n):
-        out = np.kron(out, vec)
-    return out
-
-
 def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
                phase: PhaseElement | None = None) -> LinearMap:
-    """The (inputs -> outputs) spider: sum_k w_k |k..k><k..k|."""
+    """The (inputs -> outputs) spider: sum_k w_k |k..k><k..k|.
+
+    Built as the copy tensor with w_k at |k..k>, moved leg by leg from
+    the observable's point basis to the standard basis.
+    """
     d = obs.dim
     if phase is None:
         weights = np.ones(d, dtype=complex)
@@ -49,35 +46,39 @@ def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
                 f"phase over {phase.dim} points used with a dimension-{d} "
                 f"observable")
         weights = phase.weights()
-    rows = d ** outputs
-    cols = d ** inputs
-    arr = np.zeros((rows, cols), dtype=complex)
-    for k in range(d):
-        point = obs.basis[k].amplitudes
-        col = _point_power(point, outputs)
-        row = _point_power(point, inputs)
-        arr += weights[k] * np.outer(col, row.conj())
-    return LinearMap(arr, (d,) * inputs, (d,) * outputs)
+    in_dims = check_dims((d,) * inputs, "spider input dims")
+    out_dims = check_dims((d,) * outputs, "spider output dims")
+    legs = outputs + inputs
+    # |k..k> sits at flat index k * (1 + d + ... + d^(legs-1)); with no
+    # legs every k lands on the one entry and the weights add up.
+    copy = np.zeros(d ** legs, dtype=complex)
+    np.add.at(copy, np.arange(d) * sum(d ** a for a in range(legs)), weights)
+    points = obs.point_matrix()
+    arr = apply_on_wires([points] * outputs + [points.conj()] * inputs,
+                         copy.reshape((d,) * legs))
+    return LinearMap(arr.reshape(d ** outputs, d ** inputs), in_dims,
+                     out_dims)
 
 
 def swap_map(dim: int) -> LinearMap:
-    arr = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            arr[j * dim + i, i * dim + j] = 1.0
-    return LinearMap(arr, (dim, dim), (dim, dim))
+    """The identity on two wires with its output legs exchanged."""
+    dims = check_dims((dim, dim), "swap dims")
+    eye = np.eye(dim * dim, dtype=complex).reshape((dim,) * 4)
+    arr = eye.transpose(1, 0, 2, 3).reshape(dim * dim, dim * dim)
+    return LinearMap(arr, dims, dims)
 
 
 def ket_map(obs: ObservableStructure, digits: str) -> LinearMap:
     d = obs.dim
-    col = np.ones(1, dtype=complex)
     for c in digits:
-        k = int(c)
-        if k >= d:
+        if int(c) >= d:
             raise ShapeMismatchError(
-                f"ket digit {k} out of range for dimension {d}")
-        col = np.kron(col, obs.basis[k].amplitudes)
-    return LinearMap(col.reshape(-1, 1), (), (d,) * len(digits))
+                f"ket digit {c} out of range for dimension {d}")
+    out_dims = check_dims((d,) * len(digits), "ket dims")
+    points = obs.point_matrix()
+    col = apply_on_wires([points[:, [int(c)]] for c in digits],
+                         np.ones((1,) * len(digits), dtype=complex))
+    return LinearMap(col.reshape(-1, 1), (), out_dims)
 
 
 def evaluate(term: DiagramTerm, obs: ObservableStructure,

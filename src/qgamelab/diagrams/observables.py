@@ -17,6 +17,8 @@ from ..linalg import (
     ALGEBRA_TOL,
     PROB_TOL,
     StateVector,
+    apply_on_wires,
+    born_probabilities,
     outcome_labels,
 )
 
@@ -157,18 +159,10 @@ def measure(obs: ObservableStructure, state: StateVector,
     if any(dim != d for dim in state.dims) or not state.dims:
         raise ShapeMismatchError(
             f"state dims {state.dims} do not match observable dimension {d}")
-    total = state.squared_norm
-    if abs(total - 1.0) > tol:
-        raise NormalizationError(
-            f"state is not normalized: sum |a_k|^2 = {total!r}", total)
     change = obs.point_matrix().conj().T
-    coeffs = state.amplitudes
-    full = np.ones((1, 1), dtype=complex)
-    for _ in state.dims:
-        full = np.kron(full, change)
-    coeffs = full @ coeffs
-    probs = np.abs(coeffs) ** 2
-    return dict(zip(outcome_labels(state.dims), (float(p) for p in probs)))
+    coeffs = apply_on_wires([change] * len(state.dims),
+                            state.amplitudes.reshape(state.dims))
+    return born_probabilities(StateVector(coeffs, state.dims), tol)
 
 
 @dataclass(frozen=True)

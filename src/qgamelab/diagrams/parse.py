@@ -44,6 +44,11 @@ _TOKEN_RE = re.compile(r"""
 
 _ATOM_STARTERS = ("id", "spider", "cup", "cap", "swap", "box", "ket", "(")
 
+# Parentheses may nest this deep.  Parsing takes three stack frames per
+# level and pretty() up to three, so the recursive walks over the AST
+# stay well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -81,6 +86,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -125,9 +131,15 @@ class _Parser:
     def parse_atom(self) -> DiagramTerm:
         tok = self.peek()
         if self.at_punct("("):
+            if self.depth == MAX_NESTING:
+                raise DiagramSyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels",
+                    tok.line, tok.column)
+            self.depth += 1
             self.advance()
             inner = self.parse_diagram()
             self.expect_punct(")")
+            self.depth -= 1
             return inner
         if tok.kind != "ident":
             self.fail(_ATOM_STARTERS)

@@ -67,7 +67,16 @@ class EmbeddingError(GameLabError):
 
 
 class EnumerationLimitError(GameLabError):
-    """A brute-force enumeration would exceed the configured case cap."""
+    """A brute-force enumeration would exceed the configured case cap.
+
+    ``count`` is the number of cases the enumeration needs and ``limit``
+    the cap it exceeds.
+    """
+
+    def __init__(self, message: str, count: int, limit: int):
+        super().__init__(message)
+        self.count = count
+        self.limit = limit
 
 
 class FormatError(GameLabError):

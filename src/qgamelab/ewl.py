@@ -29,6 +29,7 @@ from .linalg import (
     PROB_TOL,
     LinearMap,
     StateVector,
+    apply_on_wires,
     born_probabilities,
     from_matrix,
     ket,
@@ -96,7 +97,7 @@ class QuantumGameSpec:
 
     ``entangled_state`` optionally replaces ``entangler @ |initial_ket>``
     as the shared state the strategies act on (it must be normalized; the
-    un-entangling side still applies ``entangler.dagger()``).
+    un-entangling side still applies the entangler's adjoint).
     """
 
     players: int
@@ -235,11 +236,11 @@ def _profile_maps(spec: QuantumGameSpec,
 
 def final_state(spec: QuantumGameSpec, profile: Iterable[str]) -> StateVector:
     """sigma = entangler_dagger (s_1 x ... x s_N) (shared state)."""
-    maps = _profile_maps(spec, profile)
-    moves = maps[0]
-    for gate in maps[1:]:
-        moves = moves.tensor(gate)
-    return spec.entangler.dagger().apply(moves.apply(spec.shared_state()))
+    gates = [gate.array for gate in _profile_maps(spec, profile)]
+    shared = spec.shared_state()
+    moved = apply_on_wires(gates, shared.amplitudes.reshape(shared.dims))
+    return StateVector(spec.entangler.array.conj().T @ moved.reshape(-1),
+                       shared.dims)
 
 
 def play(spec: QuantumGameSpec, profile: Iterable[str]) -> ProfileResult:

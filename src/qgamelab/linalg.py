@@ -4,6 +4,11 @@ Values are immutable wrappers around numpy arrays.  Wire order is
 big-endian: the leftmost wire is the most significant digit of a basis
 index, matching ket-string notation (|01> is index 1 on two qubits).
 All operations are pure; nothing here mutates shared state.
+
+``apply_on_wires`` is the one place that knows this wire layout: every
+per-wire product in the package (EWL moves, per-wire measurement, Bell
+bras, spiders and kets) contracts its factors axis by axis through it,
+so no operator on the whole product space is built for them.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ def set_dimension_limit(limit: int) -> None:
     _dimension_limit = int(limit)
 
 
-def _check_dims(dims, what: str) -> tuple[int, ...]:
+def check_dims(dims, what: str) -> tuple[int, ...]:
+    """Validate wire dims against the cap; call before allocating for them."""
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"{what} must be positive integers, got {dims}")
@@ -86,8 +92,8 @@ class LinearMap:
     out_dims: tuple[int, ...]
 
     def __post_init__(self):
-        in_dims = _check_dims(self.in_dims, "in_dims")
-        out_dims = _check_dims(self.out_dims, "out_dims")
+        in_dims = check_dims(self.in_dims, "in_dims")
+        out_dims = check_dims(self.out_dims, "out_dims")
         arr = _as_complex(self.array, "entries")
         expect = (math.prod(out_dims), math.prod(in_dims))
         if arr.shape != expect:
@@ -170,7 +176,7 @@ class StateVector:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = _check_dims(self.dims, "dims")
+        dims = check_dims(self.dims, "dims")
         amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1)
         if amps.shape != (math.prod(dims),):
             raise ShapeMismatchError(
@@ -210,7 +216,7 @@ class StateVector:
         return StateVector(self.amplitudes * factor, self.dims)
 
     def tensor(self, other: "StateVector") -> "StateVector":
-        dims = _check_dims(self.dims + other.dims, "combined dims")
+        dims = check_dims(self.dims + other.dims, "combined dims")
         return StateVector(np.kron(self.amplitudes, other.amplitudes), dims)
 
     def allclose(self, other: "StateVector", tol: float = ALGEBRA_TOL) -> bool:
@@ -221,8 +227,8 @@ class StateVector:
 
 def tensor(a: LinearMap, b: LinearMap) -> LinearMap:
     """Kronecker product; the left factor is the most significant wire."""
-    in_dims = _check_dims(a.in_dims + b.in_dims, "combined in_dims")
-    out_dims = _check_dims(a.out_dims + b.out_dims, "combined out_dims")
+    in_dims = check_dims(a.in_dims + b.in_dims, "combined in_dims")
+    out_dims = check_dims(a.out_dims + b.out_dims, "combined out_dims")
     return LinearMap(np.kron(a.array, b.array), in_dims, out_dims)
 
 
@@ -240,11 +246,22 @@ def dagger(a: LinearMap) -> LinearMap:
     return a.dagger()
 
 
+def apply_on_wires(ops, tensor: np.ndarray) -> np.ndarray:
+    """Apply ``ops[i]``, a rows x cols matrix, to axis i of ``tensor``.
+
+    ``tensor`` has one axis per wire, axis i of length cols of ops[i]; in
+    the result axis i has length rows of ops[i].  Contracting axis 0 and
+    appending the new axis last cycles every axis back into place.
+    """
+    for op in ops:
+        tensor = np.tensordot(tensor, op, axes=(0, 1))
+    return tensor
+
+
 def identity(dims) -> LinearMap:
     """Identity map; ``dims`` is a wire-dimension tuple (may be empty)."""
-    dims = tuple(dims)
-    n = math.prod(dims) if dims else 1
-    return LinearMap(np.eye(n, dtype=complex), dims, dims)
+    dims = check_dims(dims, "dims")
+    return LinearMap(np.eye(math.prod(dims), dtype=complex), dims, dims)
 
 
 def from_matrix(rows, in_dims=None, out_dims=None) -> LinearMap:

@@ -521,12 +521,14 @@ def test_bayesian_game_validates_payoff_domain():
 # ------------------------------------------------- enumeration limits
 
 def test_classical_bound_respects_limit():
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError) as info:
         classical_bound(chsh_expression(), limit=15)
     assert classical_bound(chsh_expression(), limit=16) == 0.75
+    assert (info.value.count, info.value.limit) == (16, 15)
 
 
 def test_equilibrium_check_respects_limit():
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError) as info:
         is_advised_equilibrium(chsh_game(), chsh_quantum_advice(),
                                limit=15)
+    assert (info.value.count, info.value.limit) == (16, 15)

@@ -419,3 +419,36 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"equilibria": [["H", "H"]]}
+
+
+def test_cli_diagram_over_the_dimension_cap_exits_2(capsys):
+    code, out, err = _run(capsys, ["diagram-eval", "id(17)",
+                                   "--output", "json"])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert json.loads(out)["error"]["type"] == "DimensionLimitError"
+
+
+def test_cli_deep_nesting_is_a_syntax_error(capsys):
+    source = "(" * 500 + "id(1)" + ")" * 500
+    for command in ("diagram-check", "diagram-eval"):
+        code, out, err = _run(capsys, [command, source, "--output", "json"])
+        assert code == 1
+        assert err.startswith("error: ")
+        assert json.loads(out)["error"]["type"] == "DiagramSyntaxError"
+
+
+def test_cli_accepts_flags_only_where_they_are_read(tmp_path, capsys):
+    game = _write_fixture(tmp_path, "pd_ewl_3strat.json")
+    chsh = _write_fixture(tmp_path, "chsh_common_interest.json")
+    assert _run(capsys, ["ewl-nash", game, "--tolerance", "1e-6"])[0] == 0
+    assert _run(capsys, ["bell-bound", chsh, "--limit", "16"])[0] == 0
+    for argv in (["ewl-table", game, "--tolerance", "1e-6"],
+                 ["ewl-nash", game, "--limit", "16"],
+                 ["bell-bound", chsh, "--tolerance", "1e-6"],
+                 ["bell-value", chsh, "--limit", "16"],
+                 ["mermin", "--limit", "16"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,12 +22,14 @@ from qgamelab.diagrams import (
     evaluate,
     frobenius_generators,
     ghz_state_map,
+    ket_map,
     measure,
     parse,
     spider_map,
     validate_born_vector,
 )
 from qgamelab.errors import (
+    DimensionLimitError,
     NormalizationError,
     ShapeMismatchError,
     UnboundBoxError,
@@ -257,3 +262,54 @@ def test_evaluate_scalar_spider():
     out = evaluate(Spider(0, 0), Z)
     assert out.array.shape == (1, 1)
     assert out.array[0, 0] == pytest.approx(2.0)
+
+
+def _kron_power(vecs) -> np.ndarray:
+    return reduce(np.kron, vecs, np.ones(1, dtype=complex))
+
+
+def _outer_product_spider(obs, inputs, outputs, phase=None) -> np.ndarray:
+    """Reference spider: sum_k w_k |k..k><k..k|, one outer product per k."""
+    d = obs.dim
+    weights = np.ones(d) if phase is None else phase.weights()
+    arr = np.zeros((d ** outputs, d ** inputs), dtype=complex)
+    for k, point in enumerate(obs.basis):
+        col = _kron_power([point.amplitudes] * outputs)
+        row = _kron_power([point.amplitudes] * inputs)
+        arr += weights[k] * np.outer(col, row.conj())
+    return arr
+
+
+def test_spider_and_ket_maps_match_the_outer_product_oracle():
+    for d in (2, 3):
+        phases = (None, PhaseElement(tuple(np.linspace(0.0, 2.5, d))))
+        for obs in (ObservableStructure.computational(d),
+                    ObservableStructure.fourier(d)):
+            for m, n, phase in itertools.product(range(4), range(4), phases):
+                got = spider_map(obs, m, n, phase)
+                assert got.in_dims == (d,) * m and got.out_dims == (d,) * n
+                assert np.allclose(got.array,
+                                   _outer_product_spider(obs, m, n, phase),
+                                   rtol=0.0, atol=1e-12)
+            for length in (1, 2, 3):
+                for digits in itertools.product("012"[:d], repeat=length):
+                    got = ket_map(obs, "".join(digits))
+                    want = _kron_power(obs.basis[int(c)].amplitudes
+                                       for c in digits)
+                    assert got.out_dims == (d,) * length
+                    assert np.allclose(got.array[:, 0], want, rtol=0.0,
+                                       atol=1e-12)
+
+
+def test_size_caps_are_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        for source in ("id(13)", "spider(13,13)", "ket(0000000000000)"):
+            with pytest.raises(DimensionLimitError):
+                evaluate(parse(source), Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    with pytest.raises(DimensionLimitError):
+        spider_map(Z, 0, 30)

@@ -8,15 +8,18 @@ from qgamelab.diagrams import (
     Cup,
     Id,
     Ket,
+    ObservableStructure,
     Par,
     PhaseElement,
     Seq,
     Spider,
     Swap,
+    evaluate,
     parse,
     pretty,
     typecheck,
 )
+from qgamelab.diagrams.parse import MAX_NESTING
 from qgamelab.errors import (
     DiagramSyntaxError,
     UnboundBoxError,
@@ -179,3 +182,30 @@ def test_phase_group_is_abelian_mod_2pi():
     assert (a + b).phases[1] == pytest.approx((1.0 + 5.9) % (2 * math.pi),
                                               abs=1e-12)
     assert (a + a.inverse()).phases == (0.0, 0.0)
+
+
+def _nested(levels: int) -> str:
+    """A 1 -> 1 diagram whose parentheses nest ``levels`` deep,
+    alternating sequential and parallel composition."""
+    src = "spider(1,1)"
+    for k in range(levels):
+        src = f"spider(1,1,0.5) ; ({src})" if k % 2 else f"id(0) * ({src})"
+    return src
+
+
+def test_parse_nesting_cap():
+    term = parse(_nested(MAX_NESTING))
+    assert typecheck(term) == (1, 1)
+    assert parse(pretty(term)) == term
+    assert evaluate(term, ObservableStructure.fourier(2)).is_unitary()
+
+    text = _nested(MAX_NESTING + 1)
+    with pytest.raises(DiagramSyntaxError) as info:
+        parse(text)
+    # the innermost "(" is the one past the cap
+    assert info.value.line == 1
+    assert info.value.column == text.rindex("(spider(1,1)") + 1
+
+    with pytest.raises(DiagramSyntaxError) as info:
+        parse("\n" + "(" * 2000 + "id(1)" + ")" * 2000)
+    assert (info.value.line, info.value.column) == (2, MAX_NESTING + 1)

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qgamelab.linalg import (
     PAULI_Z,
     LinearMap,
     StateVector,
+    apply_on_wires,
     basis_state,
     born_probabilities,
     compose,
@@ -202,3 +204,27 @@ def test_unitarity_random_products():
         u = LinearMap(q, (2, 2), (2, 2))
         assert u.is_unitary()
         assert (dagger(u) @ u).allclose(identity((2, 2)), tol=1e-9)
+
+
+def test_apply_on_wires_matches_kron_of_the_factors():
+    rng = np.random.default_rng(5)
+
+    def rand(rows, cols):
+        return (rng.normal(size=(rows, cols))
+                + 1j * rng.normal(size=(rows, cols)))
+
+    cases = [
+        [],
+        [rand(2, 2)],
+        [rand(3, 2), rand(2, 3)],
+        [rand(2, 1), rand(3, 3), rand(1, 2)],
+        [rand(3, 1), rand(2, 1), rand(3, 1)],
+        [rand(2, 3), rand(3, 2), rand(2, 2), rand(1, 3)],
+    ]
+    for ops in cases:
+        in_shape = tuple(op.shape[1] for op in ops)
+        vec = rand(math.prod(in_shape), 1)[:, 0]
+        got = apply_on_wires(ops, vec.reshape(in_shape))
+        assert got.shape == tuple(op.shape[0] for op in ops)
+        want = reduce(np.kron, ops, np.ones((1, 1))) @ vec
+        assert np.allclose(got.reshape(-1), want, rtol=0.0, atol=1e-12)
