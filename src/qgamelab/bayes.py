@@ -8,6 +8,11 @@ a ConditionalDistribution p(s_1..s_N | X_1..X_N).  Bell expressions are
 linear functionals on those conditionals; with coefficients mu(X) *
 P_i(X, s) the Bell value of player i's expression is exactly their
 average payoff.
+
+Tables keep their string labels; ``_grid`` lays any of them out as a
+float array with axes (X_1..X_N, S_1..S_N) in label order, and is the
+one place that knows this axis layout.  Payoffs, Bell values, the
+signaling check and both exact searches run on those arrays.
 """
 
 from __future__ import annotations
@@ -44,6 +49,17 @@ def _label_lists(value, what: str) -> tuple[Labels, ...]:
     return lists
 
 
+def _grid(domain, entry) -> np.ndarray:
+    """``entry((joint_type, joint_strategy))`` on every cell of a game's,
+    expression's or conditional's domain, as a float array with axes
+    (X_1..X_N, S_1..S_N), each in label order."""
+    shape = [len(x) for x in domain.types + domain.strategies]
+    cells = itertools.product(itertools.product(*domain.types),
+                              itertools.product(*domain.strategies))
+    return np.fromiter(map(entry, cells), float,
+                       math.prod(shape)).reshape(shape)
+
+
 def _clamped_distribution(raw: Mapping, domain: list, what: str,
                           tol: float = PROB_TOL) -> dict:
     """Validate a distribution over ``domain``: clamp tiny negatives,
@@ -55,6 +71,9 @@ def _clamped_distribution(raw: Mapping, domain: list, what: str,
     out = {}
     for key in domain:
         p = float(raw.get(key, 0.0))
+        if not math.isfinite(p):
+            raise NormalizationError(f"{what} has non-finite weight {p} at "
+                                     f"{key}", total=p)
         if p < -ALGEBRA_TOL:
             raise NormalizationError(f"{what} has negative weight {p} at "
                                      f"{key}", total=p)
@@ -104,6 +123,9 @@ class BayesianGame:
                         raise DomainMismatchError(
                             f"player {i} payoff is undefined at types {jt}, "
                             f"strategies {js}") from None
+            if not all(map(math.isfinite, table.values())):
+                raise DomainMismatchError(
+                    f"player {i} has a non-finite payoff")
             tables.append(table)
         object.__setattr__(self, "payoffs", tuple(tables))
 
@@ -195,17 +217,15 @@ class ConditionalDistribution:
     def signaling_deviation(self) -> float:
         """Largest change in any player's marginal when only the other
         players' types change; 0 for a no-signaling table."""
+        n = self.players
+        p = _conditional_grid(self)
         worst = 0.0
-        for i in range(self.players):
-            for x in self.types[i]:
-                rows = [self.marginal(i, jt)
-                        for jt in itertools.product(*self.types)
-                        if jt[i] == x]
-                base = rows[0]
-                for row in rows[1:]:
-                    worst = max(worst, max(
-                        abs(row[s] - base[s]) for s in
-                        self.strategies[i]))
+        for i in range(n):
+            others = tuple(n + j for j in range(n) if j != i)
+            # rows of player i's marginal: (X_i, other joint types, S_i)
+            m = np.moveaxis(p.sum(axis=others), i, 0)
+            m = m.reshape(m.shape[0], -1, m.shape[-1])
+            worst = max(worst, float(np.abs(m - m[:, :1]).max()))
         return worst
 
     def is_no_signaling(self, tol: float = PROB_TOL) -> bool:
@@ -413,6 +433,8 @@ class BellExpression:
                     f"coefficient at types {jt}, strategies {js} is "
                     f"outside the domain")
             coeffs[(jt, js)] = float(v)
+        if not all(map(math.isfinite, coeffs.values())):
+            raise DomainMismatchError("a coefficient is not finite")
         object.__setattr__(self, "coefficients", coeffs)
         if self.bound is not None:
             object.__setattr__(self, "bound", float(self.bound))
@@ -426,12 +448,13 @@ class BellExpression:
     def from_payoff(cls, game: BayesianGame, player: int) \
             -> "BellExpression":
         """The identification alpha(s, X) = mu(X) P_i(X, s)."""
-        coeffs = {}
-        for jt in game.joint_types():
-            mu = game.prior[jt]
-            for js in game.joint_strategies():
-                coeffs[(jt, js)] = mu * game.payoffs[player][(jt, js)]
-        return cls(game.types, game.strategies, coeffs)
+        if not 0 <= player < game.players:
+            raise DomainMismatchError(
+                f"player {player} is out of range for {game.players} "
+                f"players")
+        return cls(game.types, game.strategies, {
+            key: game.prior[key[0]] * p
+            for key, p in game.payoffs[player].items()})
 
 
 def _check_same_domain(a, b, what: str) -> None:
@@ -441,52 +464,37 @@ def _check_same_domain(a, b, what: str) -> None:
             f"{b.types} x {b.strategies})")
 
 
+def _conditional_grid(cond: ConditionalDistribution) -> np.ndarray:
+    return _grid(cond, lambda key: cond.table[key[0]][key[1]])
+
+
+def _weights(game: BayesianGame, cond: ConditionalDistribution) \
+        -> np.ndarray:
+    """mu(X) p(s|X) on the grid."""
+    return _grid(game, lambda key: game.prior[key[0]]) \
+        * _conditional_grid(cond)
+
+
 def average_payoff(game: BayesianGame, advice) -> tuple[float, ...]:
     """F_i = sum_X mu(X) sum_s p(s|X) P_i(X, s) for every player."""
     cond = conditional_of(advice)
     _check_same_domain(game, cond, "average_payoff")
-    out = []
-    for table in game.payoffs:
-        f = 0.0
-        for jt, mu in game.prior.items():
-            if mu == 0.0:
-                continue
-            for js, p in cond.table[jt].items():
-                f += mu * p * table[(jt, js)]
-        out.append(f)
-    return tuple(out)
+    weights = _weights(game, cond)
+    return tuple(float((weights * _grid(game, table.__getitem__)).sum())
+                 for table in game.payoffs)
 
 
 def bell_value(expr: BellExpression, advice) -> float:
     """The functional sum alpha(s, X) p(s|X)."""
     cond = conditional_of(advice)
     _check_same_domain(expr, cond, "bell_value")
-    return float(sum(
-        alpha * cond.table[jt][js]
-        for (jt, js), alpha in expr.coefficients.items()))
-
-
-def _deterministic_responses(types: tuple[Labels, ...],
-                             strategies: tuple[Labels, ...],
-                             limit: int) -> Iterable[tuple[dict, ...]]:
-    """All joint deterministic responses, one map X_i -> S_i per player."""
-    counts = [len(s) ** len(x) for x, s in zip(types, strategies)]
-    total = math.prod(counts)
-    if total > limit:
-        raise EnumerationLimitError(
-            f"{total} deterministic response profiles exceed the limit "
-            f"{limit}", total, limit)
-    per_player = []
-    for x_i, s_i in zip(types, strategies):
-        per_player.append([
-            dict(zip(x_i, choice))
-            for choice in itertools.product(s_i, repeat=len(x_i))])
-    return itertools.product(*per_player)
+    alpha = _grid(expr, lambda key: expr.coefficients.get(key, 0.0))
+    return float((alpha * _conditional_grid(cond)).sum())
 
 
 @dataclass(frozen=True)
 class ClassicalOptimum:
-    """The exhaustive maximum of a Bell expression over local advice."""
+    """The exact maximum of a Bell expression over local advice."""
 
     value: float
     responses: tuple[Mapping[str, str], ...]
@@ -505,21 +513,50 @@ def classical_optimum(expr: BellExpression,
     """Maximize the expression over deterministic local responses.
 
     By convexity this equals the maximum over all classical advice.
-    Ties break toward the first profile in lexicographic enumeration
-    order, so the result is deterministic.
+    ``limit`` caps the number of response profiles the result covers,
+    prod_i |S_i|^|X_i|, and is checked before any work.  The responses
+    of parties 1..N-1 are folded in one type at a time; party N then
+    best-responds to each of them type by type, in closed form.  Ties
+    break toward the first optimal profile in lexicographic enumeration
+    order (parties, then their types, in order; strategies in label
+    order), so the result is deterministic.
     """
-    best_value = -math.inf
-    best = None
-    for responses in _deterministic_responses(expr.types, expr.strategies,
-                                              limit):
-        value = 0.0
-        for (jt, js), alpha in expr.coefficients.items():
-            if all(responses[i][x] == js[i] for i, x in enumerate(jt)):
-                value += alpha
-        if value > best_value:
-            best_value = value
-            best = responses
-    return ClassicalOptimum(best_value, tuple(best),
+    n = len(expr.types)
+    count = math.prod(len(s) ** len(x)
+                      for x, s in zip(expr.types, expr.strategies))
+    if count > limit:
+        raise EnumerationLimitError(
+            f"{count} deterministic response profiles exceed the limit "
+            f"{limit}", count, limit)
+    alpha = _grid(expr, lambda key: expr.coefficients.get(key, 0.0))
+    # party-major axes (X_1, S_1, .., X_N, S_N); summing the axes of a
+    # one-strategy party first keeps every array below the profile count
+    alpha = alpha.transpose([a for i in range(n) for a in (i, n + i)])
+    forced = tuple(a for i, s in enumerate(expr.strategies) if len(s) == 1
+                   for a in (2 * i, 2 * i + 1))
+    values = alpha.sum(axis=forced, keepdims=True)[np.newaxis]
+    for _ in range(n - 1):
+        # values: (profiles so far, X_i, S_i, later parties' axes)
+        head, rest = values.shape[:1], values.shape[3:]
+        folded = np.zeros(head + (1,) + rest)
+        for row in values.swapaxes(0, 1):
+            folded = (folded[:, :, np.newaxis] + row[:, np.newaxis]).reshape(
+                head + (-1,) + rest)
+        values = folded.reshape((-1,) + rest)
+    scores = values.max(axis=2).sum(axis=1)
+    best = int(np.argmax(scores))
+    # the optimum's index in enumeration order, read back digit by digit
+    index = best
+    for d in values[best].argmax(axis=1):
+        index = index * values.shape[2] + int(d)
+    responses = []
+    for xs, ss in zip(expr.types, expr.strategies):
+        responses.append({})
+        for x in xs:
+            count //= len(ss)
+            digit, index = divmod(index, count)
+            responses[-1][x] = ss[digit]
+    return ClassicalOptimum(float(scores[best]), tuple(responses),
                             expr.types, expr.strategies)
 
 
@@ -567,14 +604,10 @@ def certify_payoff_inequality(game: BayesianGame,
     Returns (certified, classical maximum of the left-hand side).
     """
     beta0, betas = _split_inequality(game, inequality)
-    coeffs: dict[tuple[JointLabels, JointLabels], float] = {}
-    for jt in game.joint_types():
-        mu = game.prior[jt]
-        for js in game.joint_strategies():
-            coeffs[(jt, js)] = mu * sum(
-                b * table[(jt, js)]
-                for b, table in zip(betas, game.payoffs))
-    expr = BellExpression(game.types, game.strategies, coeffs)
+    expr = BellExpression(game.types, game.strategies, {
+        key: game.prior[key[0]] * sum(
+            b * table[key] for b, table in zip(betas, game.payoffs))
+        for key in game.payoffs[0]})
     best = classical_bound(expr, limit)
     return best <= beta0 + tol, best
 
@@ -727,23 +760,6 @@ class EquilibriumReport:
     best_gain: float
 
 
-def _deviated_payoff(game: BayesianGame, cond: ConditionalDistribution,
-                     player: int,
-                     deviation: Mapping[tuple[str, str], str]) -> float:
-    table = game.payoffs[player]
-    f = 0.0
-    for jt, mu in game.prior.items():
-        if mu == 0.0:
-            continue
-        for js, p in cond.table[jt].items():
-            if p == 0.0:
-                continue
-            played = deviation[(jt[player], js[player])]
-            actual = js[:player] + (played,) + js[player + 1:]
-            f += mu * p * table[(jt, actual)]
-    return f
-
-
 def is_advised_equilibrium(game: BayesianGame, advice,
                            tol: float = EQUILIBRIUM_TOL,
                            limit: int = DEFAULT_ENUMERATION_LIMIT) \
@@ -752,30 +768,42 @@ def is_advised_equilibrium(game: BayesianGame, advice,
 
     A deviation is any function from (own type, own recommendation) to
     own strategy; for quantum advice this rewrites the announced label,
-    it never touches the measurement.  All deviations are enumerated.
+    it never touches the measurement.  ``limit`` caps each player's
+    number of deviation functions, |S_i|^(|X_i||S_i|), and is checked
+    for every player before any work.  The deviated payoff is a sum of
+    one term per (type, recommendation) pair, so a player's best
+    deviation plays the first argmax for every pair and gains that
+    player's exact maximum.  The report keeps the first player whose
+    gain beats the running best (starting at 0) by more than ``tol``.
     """
     cond = conditional_of(advice)
     _check_same_domain(game, cond, "is_advised_equilibrium")
-    base = average_payoff(game, cond)
-
-    best_gain = 0.0
-    best_player = None
-    best_deviation = None
-    for i in range(game.players):
-        pairs = list(itertools.product(game.types[i], game.strategies[i]))
-        count = len(game.strategies[i]) ** len(pairs)
+    for i, (x_i, s_i) in enumerate(zip(game.types, game.strategies)):
+        count = len(s_i) ** (len(x_i) * len(s_i))
         if count > limit:
             raise EnumerationLimitError(
                 f"player {i} has {count} deviation functions, over the "
                 f"limit {limit}", count, limit)
-        for choice in itertools.product(game.strategies[i],
-                                        repeat=len(pairs)):
-            deviation = dict(zip(pairs, choice))
-            gain = _deviated_payoff(game, cond, i, deviation) - base[i]
-            if gain > best_gain + tol:
-                best_gain = gain
-                best_player = i
-                best_deviation = deviation
+    base = average_payoff(game, cond)
+    n = game.players
+    weights = _weights(game, cond)
+
+    best_gain = 0.0
+    best_player = None
+    best_deviation = None
+    for i, table in enumerate(game.payoffs):
+        p = _grid(game, table.__getitem__)
+        w_i, p_i = (np.moveaxis(a, (i, n + i), (0, 1)).reshape(
+            a.shape[i], a.shape[n + i], -1) for a in (weights, p))
+        # g[x, r, t]: payoff at own type x, recommendation r, playing t
+        g = np.einsum("xrm,xtm->xrt", w_i, p_i)
+        gain = float(g.max(axis=2).sum()) - base[i]
+        if gain > best_gain + tol:
+            best_gain = gain
+            best_player = i
+            best_deviation = dict(zip(
+                itertools.product(game.types[i], game.strategies[i]),
+                (game.strategies[i][t] for t in g.argmax(axis=2).ravel())))
     return EquilibriumReport(
         equilibrium=best_deviation is None,
         payoffs=base,
@@ -793,9 +821,8 @@ def equivalence_of_conditionals(a: ConditionalDistribution,
         raise ShapeMismatchError(
             f"conditionals have different shapes: {a.types} x "
             f"{a.strategies} vs {b.types} x {b.strategies}")
-    return all(
-        abs(a.table[jt][js] - b.table[jt][js]) <= tol
-        for jt in a.table for js in a.table[jt])
+    return bool(np.all(
+        np.abs(_conditional_grid(a) - _conditional_grid(b)) <= tol))
 
 
 BITS = ("0", "1")

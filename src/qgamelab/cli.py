@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bayes, ewl, formats
@@ -87,9 +88,12 @@ def _cmd_ewl_table(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_ewl_nash(args) -> tuple[dict, list[str]]:
+    tol = args.tolerance if args.tolerance is not None else ewl.NASH_TOL
+    if not 0 <= tol < math.inf:
+        raise GameLabError(f"--tolerance must be finite and non-negative, "
+                           f"got {tol}")
     spec = _load_ewl(args.input)
     game = ewl.to_strategic_form(spec)
-    tol = args.tolerance if args.tolerance is not None else ewl.NASH_TOL
     equilibria = ewl.pure_nash(game, tol=tol)
     report: dict = {"equilibria": [list(p) for p in equilibria]}
     lines = ["pure Nash equilibria:"]

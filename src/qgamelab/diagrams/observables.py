@@ -19,6 +19,7 @@ from ..linalg import (
     StateVector,
     apply_on_wires,
     born_probabilities,
+    check_dims,
     outcome_labels,
 )
 
@@ -116,6 +117,7 @@ class ObservableStructure:
     @classmethod
     def computational(cls, dim: int = 2) -> "ObservableStructure":
         """The Z-type observable: standard basis vectors."""
+        check_dims((dim,), "observable dims")
         eye = np.eye(dim, dtype=complex)
         return cls(tuple(StateVector(eye[:, k], (dim,)) for k in range(dim)))
 
@@ -125,6 +127,7 @@ class ObservableStructure:
 
         For dim 2 these are the Hadamard basis states |+> and |->.
         """
+        check_dims((dim,), "observable dims")
         w = np.exp(2j * math.pi / dim)
         cols = [np.array([w ** (j * k) for j in range(dim)], dtype=complex)
                 / math.sqrt(dim) for k in range(dim)]

@@ -67,10 +67,10 @@ class EmbeddingError(GameLabError):
 
 
 class EnumerationLimitError(GameLabError):
-    """A brute-force enumeration would exceed the configured case cap.
+    """A search would cover more cases than the configured cap allows.
 
-    ``count`` is the number of cases the enumeration needs and ``limit``
-    the cap it exceeds.
+    ``count`` is the number of cases the result would cover and
+    ``limit`` the cap it exceeds.
     """
 
     def __init__(self, message: str, count: int, limit: int):

@@ -40,7 +40,7 @@ def parse_angle(value) -> float:
     if isinstance(value, bool):
         raise FormatError(f"not an angle: {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, "angle")
     if not isinstance(value, str):
         raise FormatError(f"not an angle: {value!r}")
     m = _ANGLE_RE.match(value.strip())
@@ -62,13 +62,25 @@ def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _finite(value, where: str) -> float:
+    """A JSON number as a float; JSON parsing admits NaN, +-Infinity and
+    integers too large for a float, and no computation accepts them."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise FormatError(f"{where}: expected a finite number, got {value!r}")
+    return out
+
+
 def complex_from_json(value, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_finite(value, where), 0.0)
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in value)):
-        return complex(float(value[0]), float(value[1]))
+        return complex(_finite(value[0], where), _finite(value[1], where))
     raise FormatError(f"{where}: expected a number or [re, im], got "
                       f"{value!r}")
 
@@ -130,7 +142,7 @@ def _int(value, where: str) -> int:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, where)
 
 
 def _label_lists(value, count: int, where: str) -> tuple[tuple[str, ...],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,3 +533,240 @@ def test_equilibrium_check_respects_limit():
         is_advised_equilibrium(chsh_game(), chsh_quantum_advice(),
                                limit=15)
     assert (info.value.count, info.value.limit) == (16, 15)
+
+
+# ------------------------------------- brute-force reference searches
+#
+# The exhaustive enumerations the closed-form searches replaced, kept as
+# oracles: every deterministic response profile, and every deviation
+# function (type, recommendation) -> strategy, in lexicographic order.
+
+def _brute_classical_optimum(expr):
+    per_player = [
+        [dict(zip(x_i, choice))
+         for choice in itertools.product(s_i, repeat=len(x_i))]
+        for x_i, s_i in zip(expr.types, expr.strategies)]
+    best_value = -math.inf
+    best = None
+    for responses in itertools.product(*per_player):
+        value = 0.0
+        for (jt, js), alpha in expr.coefficients.items():
+            if all(responses[i][x] == js[i] for i, x in enumerate(jt)):
+                value += alpha
+        if value > best_value:
+            best_value = value
+            best = responses
+    return best_value, tuple(best)
+
+
+def _deviated_payoff(game, cond, player, deviation):
+    table = game.payoffs[player]
+    f = 0.0
+    for jt, mu in game.prior.items():
+        if mu == 0.0:
+            continue
+        for js, p in cond.table[jt].items():
+            if p == 0.0:
+                continue
+            played = deviation[(jt[player], js[player])]
+            actual = js[:player] + (played,) + js[player + 1:]
+            f += mu * p * table[(jt, actual)]
+    return f
+
+
+def _brute_equilibrium(game, cond, tol=1e-9):
+    base = []
+    best_gain, best_player, best_deviation = 0.0, None, None
+    for i in range(game.players):
+        pairs = list(itertools.product(game.types[i], game.strategies[i]))
+        base.append(_deviated_payoff(game, cond, i, {p: p[1] for p in pairs}))
+        for choice in itertools.product(game.strategies[i],
+                                        repeat=len(pairs)):
+            deviation = dict(zip(pairs, choice))
+            gain = _deviated_payoff(game, cond, i, deviation) - base[i]
+            if gain > best_gain + tol:
+                best_gain, best_player, best_deviation = gain, i, deviation
+    return tuple(base), best_player, best_deviation, best_gain
+
+
+def _random_domain(rng, max_cost):
+    """1-3 parties with 1-3 types and 1-3 strategies each, redrawn until
+    the brute-force searches stay cheap."""
+    while True:
+        n = int(rng.integers(1, 4))
+        sizes = [(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                 for _ in range(n)]
+        cells = math.prod(x * s for x, s in sizes)
+        profiles = math.prod(s ** x for x, s in sizes)
+        deviations = sum(s ** (x * s) for x, s in sizes)
+        if cells * max(profiles, deviations) <= max_cost:
+            types = tuple(tuple(f"x{k}" for k in range(x)) for x, _ in sizes)
+            strategies = tuple(tuple(f"s{k}" for k in range(s))
+                               for _, s in sizes)
+            return types, strategies
+
+
+def _random_numbers(rng, kind, size):
+    if kind == "integer":
+        return rng.integers(-2, 3, size=size).astype(float)
+    values = rng.normal(size=size)
+    if kind == "sparse":
+        values[rng.random(size) < 0.7] = 0.0
+    return values
+
+
+def _random_distribution(rng, size, kind):
+    if kind == "point":
+        out = np.zeros(size)
+        out[rng.integers(size)] = 1.0
+        return out
+    return rng.dirichlet(np.ones(size))
+
+
+def test_classical_optimum_matches_brute_force():
+    rng = np.random.default_rng(2013)
+    for trial in range(400):
+        kind = ("integer", "gaussian", "sparse")[trial % 3]
+        types, strategies = _random_domain(rng, 200_000)
+        keys = list(itertools.product(itertools.product(*types),
+                                      itertools.product(*strategies)))
+        values = _random_numbers(rng, kind, len(keys))
+        coeffs = {k: float(v) for k, v in zip(keys, values)
+                  if kind != "sparse" or v != 0.0}
+        expr = BellExpression(types, strategies, coeffs)
+        value, responses = _brute_classical_optimum(expr)
+        opt = classical_optimum(expr)
+        if kind == "integer":
+            assert opt.value == value, trial
+        else:
+            assert opt.value == pytest.approx(value, abs=1e-12), trial
+        assert opt.responses == responses, trial
+        assert classical_bound(expr) == opt.value
+
+
+def test_advised_equilibrium_matches_brute_force():
+    rng = np.random.default_rng(2057)
+    checked = 0
+    for trial in range(400):
+        kind = ("integer", "gaussian", "sparse")[trial % 3]
+        cond_kind = ("point", "dirichlet")[trial // 3 % 2]
+        types, strategies = _random_domain(rng, 100_000)
+        joint_types = list(itertools.product(*types))
+        joint_strategies = list(itertools.product(*strategies))
+        mu = rng.dirichlet(np.ones(len(joint_types)))
+        if len(joint_types) > 1 and trial % 4 == 0:
+            mu[rng.integers(len(joint_types))] = 0.0
+            mu /= mu.sum()
+        prior = {jt: float(m) for jt, m in zip(joint_types, mu)}
+        payoffs = tuple(
+            {(jt, js): float(v) for (jt, js), v in zip(
+                itertools.product(joint_types, joint_strategies),
+                _random_numbers(rng, kind,
+                                len(joint_types) * len(joint_strategies)))}
+            for _ in types)
+        game = BayesianGame(types, strategies, prior, payoffs)
+        cond = ConditionalDistribution(types, strategies, {
+            jt: dict(zip(joint_strategies, map(float, _random_distribution(
+                rng, len(joint_strategies), cond_kind))))
+            for jt in joint_types})
+        base, player, deviation, gain = _brute_equilibrium(game, cond)
+        report = is_advised_equilibrium(game, cond)
+        assert report.payoffs == pytest.approx(base, abs=1e-12), trial
+        assert report.best_player == player, trial
+        assert report.best_deviation == deviation, trial
+        assert report.best_gain == pytest.approx(gain, abs=1e-12), trial
+        assert report.equilibrium is (deviation is None)
+        checked += deviation is not None
+    assert checked > 100
+
+
+def test_random_classical_advice_never_beats_the_classical_bound():
+    rng = np.random.default_rng(419)
+    for trial in range(60):
+        types, strategies = _random_domain(rng, 60_000)
+        keys = itertools.product(itertools.product(*types),
+                                 itertools.product(*strategies))
+        expr = BellExpression(types, strategies, {
+            k: float(v) for k, v in zip(keys, rng.normal(
+                size=math.prod(len(x) * len(s)
+                               for x, s in zip(types, strategies))))})
+        bound = classical_bound(expr)
+        lambdas = tuple(str(k) for k in range(int(rng.integers(1, 4))))
+        rho = dict(zip(lambdas, map(float, rng.dirichlet(
+            np.ones(len(lambdas))))))
+        responses = tuple(
+            {(x, lam): dict(zip(s_i, map(float, rng.dirichlet(
+                np.ones(len(s_i)))))) for x in x_i for lam in lambdas}
+            for x_i, s_i in zip(types, strategies))
+        advice = ClassicalAdvice(types, strategies, lambdas, rho, responses)
+        assert bell_value(expr, advice) <= bound + 1e-12, trial
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_classical_bound_memory_stays_near_the_profile_count():
+    rng = np.random.default_rng(5)
+    # 2**20 responses for the first party times 2 for the second
+    types = (tuple(f"x{k}" for k in range(20)), ("y",))
+    alpha = rng.normal(size=(20, 1, 2, 2))
+    expr = BellExpression(types, (BITS, BITS), {
+        ((x, "y"), (s, t)): float(alpha[a, 0, int(s), int(t)])
+        for a, x in enumerate(types[0]) for s in BITS for t in BITS})
+    bound, peak = _peak_bytes(lambda: classical_bound(expr))
+    assert peak < 64 * 2 ** 20
+    want = max(alpha[:, 0, :, t].max(axis=1).sum() for t in range(2))
+    assert bound == pytest.approx(want, abs=1e-12)
+
+
+def test_one_strategy_parties_are_summed_before_the_search():
+    rng = np.random.default_rng(6)
+    # 2**16 profiles; a second party with 200 types and one strategy must
+    # not multiply the arrays by 200
+    types = (tuple(f"x{k}" for k in range(16)),
+             tuple(f"y{k}" for k in range(200)))
+    alpha = rng.normal(size=(16, 200, 2))
+    expr = BellExpression(types, (BITS, ("only",)), {
+        ((x, y), (s, "only")): float(alpha[a, b, int(s)])
+        for a, x in enumerate(types[0]) for b, y in enumerate(types[1])
+        for s in BITS})
+    opt, peak = _peak_bytes(lambda: classical_optimum(expr))
+    assert peak < 16 * 2 ** 20
+    assert opt.value == pytest.approx(alpha.sum(axis=1).max(axis=1).sum(),
+                                      abs=1e-9)
+    assert opt.responses[1] == dict.fromkeys(types[1], "only")
+    assert opt.responses[0] == {
+        x: str(int(alpha[a].sum(axis=0).argmax()))
+        for a, x in enumerate(types[0])}
+
+
+def test_non_finite_numbers_are_rejected():
+    game = chsh_game()
+    for bad in (math.nan, math.inf):
+        prior = {**game.prior, ("0", "0"): bad}
+        with pytest.raises(NormalizationError):
+            BayesianGame(game.types, game.strategies, prior, game.payoffs)
+        payoff = dict(game.payoffs[0])
+        payoff[(("0", "0"), ("0", "0"))] = bad
+        with pytest.raises(DomainMismatchError):
+            BayesianGame(game.types, game.strategies, game.prior,
+                         (payoff, game.payoffs[1]))
+        with pytest.raises(DomainMismatchError):
+            BellExpression(game.types, game.strategies, payoff)
+        row = {js: 0.25 for js in game.joint_strategies()}
+        with pytest.raises(NormalizationError):
+            ConditionalDistribution(game.types, game.strategies, {
+                jt: {**row, ("0", "0"): bad} if jt == ("1", "1")
+                else row for jt in game.joint_types()})
+
+
+def test_from_payoff_rejects_an_unknown_player():
+    for player in (2, 5, -1):
+        with pytest.raises(DomainMismatchError):
+            BellExpression.from_payoff(chsh_game(), player)

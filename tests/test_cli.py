@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -452,3 +453,79 @@ def test_cli_accepts_flags_only_where_they_are_read(tmp_path, capsys):
             main(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _json_error(capsys, argv, status=1):
+    code, out, err = _run(capsys, argv + ["--output", "json"])
+    assert code == status
+    assert err.startswith("error: ")
+    return json.loads(out)["error"]
+
+
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    doc = json.loads(formats.fixture_text("chsh_common_interest.json"))
+    key = next(iter(doc["payoffs"][0]))
+    cases = {"inf_payoff": ("payoffs", 0, key, math.inf),
+             "nan_prior": ("prior", None, "0,0", math.nan)}
+    for name, (field, index, entry, value) in cases.items():
+        bad = json.loads(json.dumps(doc))
+        target = bad[field] if index is None else bad[field][index]
+        target[entry] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        for command in ("bayes-payoff", "bell-value", "bell-bound"):
+            error = _json_error(capsys, [command, str(path)])
+            assert error["type"] == "FormatError", (name, command)
+            assert "finite" in error["message"]
+    huge = formats.fixture_text("chsh_common_interest.json").replace(
+        '"1,0": 0.25', '"1,0": 1' + "0" * 400, 1)
+    assert huge != formats.fixture_text("chsh_common_interest.json")
+    path = tmp_path / "huge.json"
+    path.write_text(huge, encoding="utf-8")
+    assert _json_error(capsys, ["bell-bound", str(path)])["type"] == \
+        "FormatError"
+
+
+def test_json_numbers_must_be_finite():
+    for bad in (math.inf, -math.inf, math.nan, 10 ** 400):
+        with pytest.raises(FormatError):
+            formats.complex_from_json(bad, "here")
+        with pytest.raises(FormatError):
+            formats.complex_from_json([0.0, bad], "here")
+        with pytest.raises(FormatError):
+            formats.parse_angle(bad)
+
+
+def test_cli_player_must_be_in_range(tmp_path, capsys):
+    path = _write_fixture(tmp_path, "chsh_common_interest.json")
+    for command in ("bell-bound", "bell-value"):
+        for player in ("5", "2", "-1"):
+            error = _json_error(capsys, [command, path, "--player", player])
+            assert error["type"] == "DomainMismatchError"
+            assert "out of range" in error["message"]
+
+
+def test_cli_tolerance_must_be_finite_and_non_negative(tmp_path, capsys):
+    path = _write_fixture(tmp_path, "pd_ewl_3strat.json")
+    for tol in ("nan", "inf", "-1e-9"):
+        error = _json_error(capsys, ["ewl-nash", path, f"--tolerance={tol}"])
+        assert error["type"] == "GameLabError"
+        assert "--tolerance" in error["message"]
+    code, out, _ = _run(capsys, ["ewl-nash", path, "--tolerance", "0",
+                                 "--output", "json"])
+    assert code == 0
+    assert json.loads(out) == {"equilibria": [["H", "H"]]}
+
+
+def test_cli_observable_dim_is_checked_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        for observable in ("computational", "fourier"):
+            error = _json_error(capsys, ["diagram-eval", "id(1)", "--dim",
+                                         "100000", "--observable",
+                                         observable], status=2)
+            assert error["type"] == "DimensionLimitError"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
