@@ -101,13 +101,15 @@ class ObservableStructure:
                 raise NormalizationError(
                     f"basis vector {k} is not normalized: "
                     f"|v|^2 = {v.squared_norm!r}", v.squared_norm)
-        for j in range(d):
-            for k in range(j + 1, d):
-                inner = np.vdot(basis[j].amplitudes, basis[k].amplitudes)
-                if abs(inner) > ALGEBRA_TOL:
-                    raise NormalizationError(
-                        f"basis vectors {j} and {k} are not orthogonal: "
-                        f"<{j}|{k}> = {inner!r}", float(abs(inner)))
+        points = np.column_stack([v.amplitudes for v in basis])
+        gram = points.conj().T @ points  # gram[j, k] = <j|k>
+        skew = np.argwhere(np.triu(np.abs(gram) > ALGEBRA_TOL, k=1))
+        if skew.size:
+            j, k = (int(x) for x in skew[0])  # first pair in row-major order
+            inner = complex(gram[j, k])
+            raise NormalizationError(
+                f"basis vectors {j} and {k} are not orthogonal: "
+                f"<{j}|{k}> = {inner!r}", abs(inner))
         object.__setattr__(self, "basis", basis)
 
     @property

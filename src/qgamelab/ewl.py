@@ -5,6 +5,12 @@ where U is the entangler and each player picks the local unitary s_i from
 a finite named set.  Payoffs weight the Born distribution of sigma by
 per-player outcome coefficients, so restricting every player to basis
 permutations recovers an ordinary strategic-form game.
+
+Payoff tables are dense float arrays indexed (k_0, ..., k_{N-1}, player)
+by label position: one contraction runs the shared state through each
+player's stack of gates, and Nash and Pareto scans read that array.
+Label strings appear only where a table becomes a dict in product order
+of the label lists, which is also the order ``StrategicFormGame`` keeps.
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ class StrategicFormGame:
         if not labels or any(not per for per in labels):
             raise DomainMismatchError("every player needs at least one "
                                       "strategy label")
+        for i, per in enumerate(labels):
+            if len(set(per)) != len(per):
+                raise DomainMismatchError(
+                    f"player {i} has duplicate strategy labels: {per}")
         n = len(labels)
         table: PayoffTable = {}
         for profile in itertools.product(*labels):
@@ -63,7 +73,7 @@ class StrategicFormGame:
             except KeyError:
                 raise DomainMismatchError(
                     f"payoff table is missing profile {profile}") from None
-            row = tuple(float(v) for v in row)
+            row = tuple(map(float, row))
             if len(row) != n:
                 raise DomainMismatchError(
                     f"profile {profile} has {len(row)} payoffs for {n} "
@@ -234,23 +244,76 @@ def _profile_maps(spec: QuantumGameSpec,
     return [spec.strategy(i, lab) for i, lab in enumerate(labels)]
 
 
+def _coefficients(spec: QuantumGameSpec) -> np.ndarray:
+    """Outcome coefficients as an (N, d^N) array in basis-index order."""
+    labels = outcome_labels((spec.dim,) * spec.players)
+    return np.array([[per[s] for s in labels] for per in spec.payoff_coeffs])
+
+
+def _final_states(spec: QuantumGameSpec, stacks):
+    """sigma for every profile of the gate stacks, one block per k_0.
+
+    ``stacks[i]`` holds player i's k_i gates, shape (k_i, d, d).  The
+    shared state runs through the stacks of players 1..N-1 once; then
+    each gate of player 0 gives one block, after the entangler's adjoint,
+    whose rows are the k_1 * ... * k_{N-1} final states in product order.
+    No block grows with k_0.
+    """
+    d, n = spec.dim, spec.players
+    shared = spec.shared_state().amplitudes.reshape((d,) * n)
+    # Wire 0 moves last, so the result has axes
+    # (w_0, w_1, k_1, ..., w_{N-1}, k_{N-1}).
+    rest = apply_on_wires([stack.transpose(1, 2, 0) for stack in stacks[1:]],
+                          np.moveaxis(shared, 0, -1))
+    order = [*range(2, 2 * n - 1, 2), 0, *range(1, 2 * n - 2, 2)]
+    flat = rest.reshape(d, -1)
+    unentangle = spec.entangler.array.conj()  # sigma^T = v^T (U^dag)^T
+    for gate in stacks[0]:
+        moved = (gate @ flat).reshape(rest.shape).transpose(order)
+        yield moved.reshape(-1, d ** n) @ unentangle
+
+
+def _weigh(finals: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Payoff rows of final states given as rows, Born rule checked.
+
+    Every state must be normalized within PROB_TOL, as in
+    ``born_probabilities``, which raises the same error.
+    """
+    probs = np.abs(finals) ** 2
+    totals = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > PROB_TOL)
+    if bad.size:
+        total = float(totals[bad[0]])
+        raise NormalizationError(
+            f"state is not normalized: sum |a_k|^2 = {total!r}", total)
+    return probs @ coeffs.T
+
+
+def _payoff_array(spec: QuantumGameSpec, labels) -> np.ndarray:
+    """Payoffs of every profile over ``labels``: (k_0..k_{N-1}, player)."""
+    stacks = [np.array([spec.strategy(i, lab).array for lab in per])
+              for i, per in enumerate(labels)]
+    coeffs = _coefficients(spec)
+    out = np.empty((len(stacks[0]), math.prod(map(len, stacks[1:])),
+                    spec.players))
+    for block, finals in zip(out, _final_states(spec, stacks)):
+        block[:] = _weigh(finals, coeffs)
+    return out.reshape(tuple(map(len, stacks)) + (spec.players,))
+
+
 def final_state(spec: QuantumGameSpec, profile: Iterable[str]) -> StateVector:
     """sigma = entangler_dagger (s_1 x ... x s_N) (shared state)."""
-    gates = [gate.array for gate in _profile_maps(spec, profile)]
-    shared = spec.shared_state()
-    moved = apply_on_wires(gates, shared.amplitudes.reshape(shared.dims))
-    return StateVector(spec.entangler.array.conj().T @ moved.reshape(-1),
-                       shared.dims)
+    stacks = [gate.array[None] for gate in _profile_maps(spec, profile)]
+    (sigma,) = next(_final_states(spec, stacks))
+    return StateVector(sigma, (spec.dim,) * spec.players)
 
 
 def play(spec: QuantumGameSpec, profile: Iterable[str]) -> ProfileResult:
     labels = tuple(profile)
     sigma = final_state(spec, labels)
     dist = born_probabilities(sigma, tol=PROB_TOL)
-    pay = tuple(
-        float(sum(coeffs[s] * p for s, p in dist.items()))
-        for coeffs in spec.payoff_coeffs)
-    return ProfileResult(labels, sigma, dist, pay)
+    (pay,) = _weigh(sigma.amplitudes[None], _coefficients(spec))
+    return ProfileResult(labels, sigma, dist, tuple(pay.tolist()))
 
 
 def payoffs(spec: QuantumGameSpec, profile: Iterable[str]) -> tuple[float, ...]:
@@ -259,8 +322,9 @@ def payoffs(spec: QuantumGameSpec, profile: Iterable[str]) -> tuple[float, ...]:
 
 def payoff_table(spec: QuantumGameSpec) -> PayoffTable:
     """Payoffs for every profile, in product order of the label lists."""
-    return {profile: payoffs(spec, profile)
-            for profile in itertools.product(*spec.strategy_labels)}
+    labels = spec.strategy_labels
+    rows = _payoff_array(spec, labels).reshape(-1, spec.players).tolist()
+    return dict(zip(itertools.product(*labels), map(tuple, rows)))
 
 
 def to_strategic_form(spec: QuantumGameSpec) -> StrategicFormGame:
@@ -291,24 +355,57 @@ def _labels_from_table(table: Mapping[Profile, Sequence[float]]) \
     return tuple(tuple(per) for per in labels)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise DomainMismatchError(
+            f"tolerance must be finite and non-negative, got {tol}")
+
+
+def _payoff_grid(g: StrategicFormGame) -> np.ndarray:
+    """The payoff dict, kept in product order, as (k_0..k_{N-1}, player)."""
+    shape = tuple(map(len, g.strategy_labels)) + (g.players,)
+    return np.array(list(g.payoffs.values()), dtype=float).reshape(shape)
+
+
 def pure_nash(game, tol: float = NASH_TOL) -> list[Profile]:
     """Profiles with no strictly improving unilateral deviation.
 
     Accepts a StrategicFormGame, a QuantumGameSpec, or a payoff table.
-    A deviation counts only if it gains more than ``tol``.
+    A deviation counts only if it gains more than ``tol``, which must be
+    finite and non-negative.  Each player's best response is a maximum
+    along that player's axis (NaN payoffs never count as a gain).
     """
+    _check_tol(tol)
     g = _as_game(game)
-    out = []
-    for profile in g.profiles():
-        mine = g.payoffs[profile]
-        if not any(
-            g.payoffs[profile[:i] + (alt,) + profile[i + 1:]][i]
-            > mine[i] + tol
-            for i in range(g.players)
-            for alt in g.strategy_labels[i]
-            if alt != profile[i]
-        ):
-            out.append(profile)
+    pay = _payoff_grid(g)
+    stable = np.ones(pay.shape[:-1], dtype=bool)
+    for i in range(g.players):
+        mine = pay[..., i]
+        best = np.fmax.reduce(mine, axis=i, keepdims=True)
+        stable &= ~(best > mine + tol)
+    profiles = list(g.payoffs)
+    return [profiles[k] for k in np.flatnonzero(stable)]
+
+
+# Dominance comparisons run in row blocks of about this many bytes.
+_BLOCK_BYTES = 1 << 20
+# Rows of highest payoff sum that every row is first compared against.
+_FIRST_PASS = 64
+
+
+def _dominated(rows: np.ndarray, others: np.ndarray, tol: float) \
+        -> np.ndarray:
+    """For each of ``rows``, whether some row of ``others`` dominates it."""
+    out = np.zeros(len(rows), dtype=bool)
+    step = max(1, _BLOCK_BYTES // len(others))
+    for start in range(0, len(rows), step):
+        mine = rows[start:start + step]
+        weak = np.ones((len(mine), len(others)), dtype=bool)
+        strict = np.zeros_like(weak)
+        for theirs, own in zip(others.T, mine.T):
+            weak &= theirs >= own[:, None] - tol
+            strict |= theirs > own[:, None] + tol
+        out[start:start + step] = (weak & strict).any(axis=1)
     return out
 
 
@@ -316,19 +413,19 @@ def pareto_optimal(game, tol: float = NASH_TOL) -> list[Profile]:
     """Profiles whose payoff vector no other profile dominates.
 
     Domination: weakly better for everyone (within ``tol``), strictly
-    better (by more than ``tol``) for someone.
+    better (by more than ``tol``) for someone; ``tol`` must be finite
+    and non-negative.  Profiles come in product order.
     """
+    _check_tol(tol)
     g = _as_game(game)
-    rows = [(profile, g.payoffs[profile]) for profile in g.profiles()]
-    out = []
-    for profile, mine in rows:
-        dominated = any(
-            all(other[i] >= mine[i] - tol for i in range(g.players))
-            and any(other[i] > mine[i] + tol for i in range(g.players))
-            for _, other in rows)
-        if not dominated:
-            out.append(profile)
-    return out
+    rows = _payoff_grid(g).reshape(-1, g.players)
+    # Rows with the highest sums dominate most others, so a pass against
+    # them leaves few rows for the exact scan against every row.
+    top = np.argsort(-rows.sum(axis=1), kind="stable")[:_FIRST_PASS]
+    alive = np.flatnonzero(~_dominated(rows, rows[top], tol))
+    alive = alive[~_dominated(rows[alive], rows, tol)]
+    profiles = list(g.payoffs)
+    return [profiles[k] for k in alive]
 
 
 def _per_player(value, players: int, what: str) -> list[dict]:
@@ -426,14 +523,15 @@ def quantize(classical: StrategicFormGame, embedding,
         dim=dim,
     )
 
-    for profile in classical.profiles():
-        got = payoffs(spec, profile)
-        want = classical.payoffs[profile]
-        if any(abs(a - b) > tol for a, b in zip(got, want)):
-            raise EmbeddingError(
-                f"embedded profile {profile} yields {got}, classical "
-                f"table says {want}; the entangler does not commute "
-                f"with the embedding")
+    got = _payoff_array(spec, classical.strategy_labels).reshape(-1, n)
+    want = _payoff_grid(classical).reshape(-1, n)
+    off = np.flatnonzero((np.abs(got - want) > tol).any(axis=1))
+    if off.size:
+        profile = classical.profiles()[off[0]]
+        raise EmbeddingError(
+            f"embedded profile {profile} yields {tuple(got[off[0]].tolist())}"
+            f", classical table says {classical.payoffs[profile]}; the "
+            f"entangler does not commute with the embedding")
     return spec
 
 

@@ -252,6 +252,10 @@ def apply_on_wires(ops, tensor: np.ndarray) -> np.ndarray:
     ``tensor`` has one axis per wire, axis i of length cols of ops[i]; in
     the result axis i has length rows of ops[i].  Contracting axis 0 and
     appending the new axis last cycles every axis back into place.
+
+    An op may carry trailing axes after (rows, cols), such as a stack of
+    gates of shape (rows, cols, k); they follow wire i's new axis in the
+    result.  With fewer ops than axes, the axes left untouched come first.
     """
     for op in ops:
         tensor = np.tensordot(tensor, op, axes=(0, 1))

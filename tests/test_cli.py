@@ -3,14 +3,21 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgamelab import formats
 from qgamelab.bayes import BayesianGame, average_payoff
 from qgamelab.cli import main
 from qgamelab.errors import FormatError
-from qgamelab.ewl import QuantumGameSpec, payoff_table
+from qgamelab.ewl import (
+    QuantumGameSpec,
+    ewl_entangler,
+    ewl_strategy_grid,
+    payoff_table,
+)
 
 FIXTURES = formats.FIXTURE_NAMES
 
@@ -529,3 +536,53 @@ def test_cli_observable_dim_is_checked_before_allocating(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+# ------------------------------------------------------ golden ewl output
+
+GOLDEN_PATH = Path(__file__).with_name("golden_ewl_cli.json")
+
+
+def _seeded_ewl_text() -> str:
+    """A 2-player spec over the 9 strategies of ewl_strategy_grid(3, 3),
+    renamed g0..g8, with seeded coefficients and initial ket |01>."""
+    rng = np.random.default_rng(20140613)
+    grid = {f"g{k}": gate
+            for k, gate in enumerate(ewl_strategy_grid(3, 3).values())}
+    coeffs = tuple({k: round(float(rng.normal()), 3)
+                    for k in ("00", "01", "10", "11")} for _ in range(2))
+    spec = QuantumGameSpec(players=2, strategies=(grid, dict(grid)),
+                           payoff_coeffs=coeffs, entangler=ewl_entangler(2),
+                           initial_ket="01")
+    return formats.dumps(spec)
+
+
+def _golden_commands(tmp_path) -> dict[str, list[str]]:
+    """Every ewl command pinned by the golden file, keyed by a stable name."""
+    specs = {name: _write_fixture(tmp_path, name)
+             for name in ("pd_ewl_3strat.json", "pd_ewl_4strat.json")}
+    seeded = tmp_path / "seeded_9strat.json"
+    seeded.write_text(_seeded_ewl_text(), encoding="utf-8")
+    specs["seeded_9strat.json"] = str(seeded)
+    profiles = {"pd_ewl_3strat.json": ("I,H", "H,X"),
+                "pd_ewl_4strat.json": ("Z,Z", "H,Z"),
+                "seeded_9strat.json": ("g0,g8", "g4,g7")}
+    commands = {}
+    for name, path in specs.items():
+        runs = [["ewl-table", path], ["ewl-nash", path, "--pareto"]]
+        runs += [["ewl-state", path, "--profile", p] for p in profiles[name]]
+        for argv in runs:
+            for output in ("table", "json"):
+                key = " ".join([name] + argv[2:] + [argv[0], output])
+                commands[key] = argv + ["--output", output]
+    return commands
+
+
+def test_cli_ewl_output_matches_golden(tmp_path, capsys):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    commands = _golden_commands(tmp_path)
+    assert sorted(commands) == sorted(golden)
+    for key, argv in commands.items():
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), key
+        assert out == golden[key], key

@@ -257,6 +257,27 @@ def test_observable_requires_orthonormal_basis():
             np.array([[1.0, 1 / RT2], [0.0, 1 / RT2]]))
 
 
+def test_orthogonality_check_names_the_first_skew_pair_at_d256():
+    d = 256
+    rng = np.random.default_rng(256)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    for obs in (ObservableStructure.computational(d),
+                ObservableStructure.from_matrix(q)):
+        assert obs.dim == d
+    cols = np.eye(d, dtype=complex)
+    # Pairs (5, 6) and (2, 9) both fail; (2, 9) comes first in row-major
+    # order over j < k.  Each tilted column stays normalized.
+    for j, k in ((5, 6), (2, 9)):
+        cols[:, k] = (cols[:, k] + 0.1 * cols[:, j]) / math.sqrt(1.01)
+    with pytest.raises(NormalizationError,
+                       match=r"basis vectors 2 and 9 are not orthogonal"):
+        ObservableStructure.from_matrix(cols)
+    cols[:, 9] = np.eye(d)[:, 9]
+    with pytest.raises(NormalizationError, match=r"vectors 5 and 6 ") as info:
+        ObservableStructure.from_matrix(cols)
+    assert info.value.total == pytest.approx(0.1 / math.sqrt(1.01))
+
+
 def test_evaluate_scalar_spider():
     # a 0 -> 0 spider is the scalar d (trace of the identity over points)
     out = evaluate(Spider(0, 0), Z)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qgamelab.errors import (
     UnsupportedDimensionError,
 )
 from qgamelab.ewl import (
+    NASH_TOL,
     PD_PAYOFFS,
     QuantumGameSpec,
     StrategicFormGame,
@@ -28,13 +31,20 @@ from qgamelab.ewl import (
     quantize,
     to_strategic_form,
 )
+from qgamelab import ewl
 from qgamelab.linalg import (
     BUILTIN_GATES,
     HADAMARD,
     PAULI_X,
+    PROB_TOL,
+    LinearMap,
     StateVector,
+    apply_on_wires,
+    born_probabilities,
+    from_matrix,
     identity,
     ket,
+    outcome_labels,
     states_phase_equal,
 )
 
@@ -358,3 +368,248 @@ def test_ewl_strategy_family():
     assert len(grid) == 9
     for name, gate in grid.items():
         assert gate.is_unitary(), name
+
+
+# --------------------------------------------- brute-force reference scans
+# The original per-profile implementations, kept as oracles for the
+# batched payoff table and the array-based Nash and Pareto scans.
+
+def _oracle_payoffs(spec, profile):
+    """One profile through the EWL sandwich, state by state."""
+    gates = [spec.strategy(i, lab).array for i, lab in enumerate(profile)]
+    shared = spec.shared_state()
+    moved = apply_on_wires(gates, shared.amplitudes.reshape(shared.dims))
+    sigma = StateVector(spec.entangler.array.conj().T @ moved.reshape(-1),
+                        shared.dims)
+    dist = born_probabilities(sigma, tol=PROB_TOL)
+    return tuple(float(sum(coeffs[s] * p for s, p in dist.items()))
+                 for coeffs in spec.payoff_coeffs)
+
+
+def _oracle_table(spec):
+    return {profile: _oracle_payoffs(spec, profile)
+            for profile in itertools.product(*spec.strategy_labels)}
+
+
+def _oracle_nash(g, tol=NASH_TOL):
+    out = []
+    for profile in g.profiles():
+        mine = g.payoffs[profile]
+        if not any(
+            g.payoffs[profile[:i] + (alt,) + profile[i + 1:]][i]
+            > mine[i] + tol
+            for i in range(g.players)
+            for alt in g.strategy_labels[i]
+            if alt != profile[i]
+        ):
+            out.append(profile)
+    return out
+
+
+def _oracle_pareto(g, tol=NASH_TOL):
+    rows = [(profile, g.payoffs[profile]) for profile in g.profiles()]
+    out = []
+    for profile, mine in rows:
+        dominated = any(
+            all(other[i] >= mine[i] - tol for i in range(g.players))
+            and any(other[i] > mine[i] + tol for i in range(g.players))
+            for _, other in rows)
+        if not dominated:
+            out.append(profile)
+    return out
+
+
+def _random_labels(rng, players):
+    """1-7 labels per player, not in sorted order."""
+    return tuple(tuple(f"s{v}" for v in rng.permutation(10)[:k])
+                 for k in rng.integers(1, 8, size=players))
+
+
+def _random_game(rng, kind):
+    labels = _random_labels(rng, int(rng.integers(1, 4)))
+    n = len(labels)
+    shape = tuple(map(len, labels)) + (n,)
+    if kind == "integer":
+        pay = rng.integers(-2, 3, size=shape).astype(float)
+    elif kind == "near_tie":
+        offsets = np.array([0.0, 0.5, -0.5, 2.0, -2.0]) * NASH_TOL
+        pay = rng.integers(-1, 2, size=shape) + rng.choice(offsets, shape)
+    else:
+        pay = rng.normal(size=shape)
+    rows = pay.reshape(-1, n).tolist()
+    return StrategicFormGame(
+        labels, dict(zip(itertools.product(*labels), map(tuple, rows))))
+
+
+def _random_unitary(rng, size):
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_grid_spec(rng):
+    """2-3 players over seeded subsets of ewl_strategy_grid(4, 4)."""
+    n = int(rng.integers(2, 4))
+    grid = list(ewl_strategy_grid(4, 4).items())
+    strategies = tuple(
+        dict(grid[j] for j in rng.permutation(len(grid))[:k])
+        for k in rng.integers(1, 8, size=n))
+    outcomes = outcome_labels((2,) * n)
+    coeffs = tuple(dict(zip(outcomes, rng.integers(-3, 4, size=2 ** n)
+                            .astype(float).tolist()))
+                   for _ in range(n))
+    shared = None
+    if rng.random() < 0.25:
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        shared = StateVector(amps / np.linalg.norm(amps), (2,) * n)
+    initial = "".join(str(b) for b in rng.integers(0, 2, size=n))
+    return QuantumGameSpec(players=n, strategies=strategies,
+                           payoff_coeffs=coeffs, entangler=ewl_entangler(n),
+                           initial_ket=initial, entangled_state=shared)
+
+
+def _unitary_spec(rng, dim, counts, initial):
+    """Random unitary strategies and a random unitary, non-EWL entangler."""
+    n = len(counts)
+    outcomes = outcome_labels((dim,) * n)
+    strategies = tuple(
+        {f"u{j}": from_matrix(_random_unitary(rng, dim)) for j in range(k)}
+        for k in counts)
+    coeffs = tuple(dict(zip(outcomes, rng.normal(size=dim ** n).tolist()))
+                   for _ in range(n))
+    wires = (dim,) * n
+    entangler = LinearMap(_random_unitary(rng, dim ** n), wires, wires)
+    return QuantumGameSpec(players=n, strategies=strategies,
+                           payoff_coeffs=coeffs, entangler=entangler,
+                           dim=dim, initial_ket=initial)
+
+
+def _assert_scans_match_oracles(game):
+    g = ewl._as_game(game)
+    for tol in (NASH_TOL, 0.0, 0.5):
+        assert pure_nash(game, tol=tol) == _oracle_nash(g, tol), tol
+        assert pareto_optimal(game, tol=tol) == _oracle_pareto(g, tol), tol
+
+
+def test_scans_match_brute_force_on_seeded_games():
+    rng = np.random.default_rng(31)
+    kinds = ("integer", "near_tie", "gaussian")
+    for trial in range(300):
+        game = _random_game(rng, kinds[trial % 3])
+        _assert_scans_match_oracles(game)
+        if trial % 10 == 0:
+            _assert_scans_match_oracles(dict(game.payoffs))
+
+
+def test_batched_table_matches_per_profile_oracle():
+    rng = np.random.default_rng(32)
+    specs = [_random_grid_spec(rng) for _ in range(40)]
+    specs += [_unitary_spec(rng, 3, (4, 6), "12"),
+              _unitary_spec(rng, 2, (5,), "1")]
+    for spec in specs:
+        want = _oracle_table(spec)
+        got = payoff_table(spec)
+        assert list(got) == list(want)
+        for profile, pay in want.items():
+            assert got[profile] == pytest.approx(pay, rel=0.0, abs=1e-12)
+        game = to_strategic_form(spec)
+        _assert_scans_match_oracles(game)
+        assert pure_nash(spec) == pure_nash(game)
+        profile = next(reversed(want))
+        assert play(spec, profile).payoffs == pytest.approx(
+            want[profile], rel=0.0, abs=1e-12)
+
+
+def test_pareto_scan_spans_several_blocks():
+    # 33 x 33 profiles compared against each other need two 1 MiB blocks.
+    # Zero-sum rows (10k, -10k) never dominate each other; the last two
+    # profiles are dominated only by profile 700, which is not among the
+    # rows of highest sum, so only the exact scan's second block sees it.
+    labels = tuple(tuple(f"s{k}" for k in range(33)) for _ in range(2))
+    x = 10.0 * np.arange(33 * 33)
+    rows = np.column_stack([x, -x])
+    rows[-2:] = rows[700] - [[1.0, 1.0], [0.0, 2.0]]
+    profiles = list(itertools.product(*labels))
+    game = StrategicFormGame(
+        labels, dict(zip(profiles, map(tuple, rows.tolist()))))
+    assert pareto_optimal(game) == profiles[:-2]
+
+
+def test_nash_and_pareto_reject_bad_tolerance():
+    spec = pd_quantum(("I", "X", "H"))
+    for tol in (math.nan, -1.0, math.inf):
+        for scan in (pure_nash, pareto_optimal):
+            with pytest.raises(DomainMismatchError, match="tolerance"):
+                scan(spec, tol=tol)
+    assert pure_nash(spec, tol=0.0) == [("H", "H")]
+
+
+def test_strategic_form_rejects_duplicate_labels():
+    with pytest.raises(DomainMismatchError, match="duplicate"):
+        StrategicFormGame((("a", "a"),), {("a",): (1.0,)})
+
+
+def _table_peak(spec) -> tuple[int, int]:
+    """tracemalloc peak of one batched table, and the table's own bytes."""
+    tracemalloc.start()
+    try:
+        table = ewl._payoff_array(spec, spec.strategy_labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, table.nbytes
+
+
+def _grid_spec(counts):
+    grid = list(ewl_strategy_grid(10, 10).items())
+    n = len(counts)
+    coeffs = {label: float(v)
+              for v, label in enumerate(outcome_labels((2,) * n))}
+    return QuantumGameSpec(players=n,
+                           strategies=tuple(dict(grid[:k]) for k in counts),
+                           payoff_coeffs=(coeffs,) * n,
+                           entangler=ewl_entangler(n))
+
+
+def test_batched_table_memory_stays_bounded():
+    # Besides the float table itself, the transient is one block of
+    # player 0's profiles; it must not grow with player 0's strategy count.
+    bound = 4 * 2 ** 20
+    for counts, fewer in (((100, 100), (10, 100)),
+                          ((30, 30, 30), (3, 30, 30))):
+        peak, out = _table_peak(_grid_spec(counts))
+        small_peak, small_out = _table_peak(_grid_spec(fewer))
+        assert peak < bound, (counts, peak)
+        assert abs((peak - out) - (small_peak - small_out)) < 64 * 2 ** 10, \
+            (counts, peak - out, small_peak - small_out)
+
+
+def test_table_reports_the_first_unnormalized_profile_like_the_oracle():
+    # (1 + eps) I passes the unitarity check (|G^dag G - I| = 8e-10), but
+    # two or more such factors push |sigma|^2 past PROB_TOL.  The first
+    # failing profile is (I, I, J, J); (I, J, J, J) fails by more.
+    scaled = from_matrix(np.eye(2) * (1 + 4e-10))
+    gates = {"I": BUILTIN_GATES["I"], "J": scaled}
+    zeros = {label: 0.0 for label in outcome_labels((2,) * 4)}
+    spec = QuantumGameSpec(players=4, strategies=(gates,) * 4,
+                           payoff_coeffs=(zeros,) * 4,
+                           entangler=ewl_entangler(4))
+    with pytest.raises(NormalizationError) as want:
+        _oracle_table(spec)
+    with pytest.raises(NormalizationError) as got:
+        payoff_table(spec)
+    assert str(got.value).startswith("state is not normalized")
+    assert got.value.total == pytest.approx(want.value.total, rel=0.0,
+                                            abs=1e-14)
+    assert got.value.total < 1 + 2e-9
+    with pytest.raises(NormalizationError):
+        play(spec, ("I", "I", "J", "J"))
+
+
+def test_quantize_names_the_first_profile_that_breaks_the_embedding():
+    # Under H x I the move D = X on player A turns into Z, so (D, C) and
+    # (D, D) both miss the classical table; (D, C) comes first.
+    embedding = {"C": BUILTIN_GATES["I"], "D": BUILTIN_GATES["X"]}
+    with pytest.raises(EmbeddingError, match=r"\('D', 'C'\) yields"):
+        quantize(prisoners_dilemma(), embedding,
+                 entangler=HADAMARD.tensor(BUILTIN_GATES["I"]))
