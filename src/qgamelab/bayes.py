@@ -9,10 +9,10 @@ linear functionals on those conditionals; with coefficients mu(X) *
 P_i(X, s) the Bell value of player i's expression is exactly their
 average payoff.
 
-Tables keep their string labels; ``_grid`` lays any of them out as a
-float array with axes (X_1..X_N, S_1..S_N) in label order, and is the
-one place that knows this axis layout.  Payoffs, Bell values, the
-signaling check and both exact searches run on those arrays.
+Tables keep their string labels; ``_grid`` and ``_from_grid`` turn them
+into float arrays with axes (X_1..X_N, S_1..S_N) in label order and back,
+the one place that knows this layout, in both directions.  Payoffs, Bell
+values, both conditionals and every search run on those arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .errors import (
     NormalizationError,
     ShapeMismatchError,
 )
-from .linalg import ALGEBRA_TOL, PROB_TOL, StateVector, apply_on_wires, ket
+from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, apply_on_wires,
+                     check_dims)
 
 EQUILIBRIUM_TOL = 1e-9
 DEFAULT_ENUMERATION_LIMIT = 10 ** 7
@@ -58,6 +59,14 @@ def _grid(domain, entry) -> np.ndarray:
                               itertools.product(*domain.strategies))
     return np.fromiter(map(entry, cells), float,
                        math.prod(shape)).reshape(shape)
+
+
+def _from_grid(domain, p: np.ndarray) -> ConditionalDistribution:
+    """The inverse of ``_grid``: the conditional whose grid is ``p``."""
+    keys = list(itertools.product(*domain.strategies))
+    rows = (dict(zip(keys, r)) for r in p.reshape(-1, len(keys)).tolist())
+    table = dict(zip(itertools.product(*domain.types), rows))
+    return ConditionalDistribution(domain.types, domain.strategies, table)
 
 
 def _clamped_distribution(raw: Mapping, domain: list, what: str,
@@ -293,20 +302,17 @@ class ClassicalAdvice:
 
 
 def classical_conditional(advice: ClassicalAdvice) -> ConditionalDistribution:
-    """p(s|X) = sum_lambda rho(lambda) prod_i p(s_i | X_i, lambda)."""
-    table = {}
-    for jt in itertools.product(*advice.types):
-        row = {}
-        for js in itertools.product(*advice.strategies):
-            p = 0.0
-            for lam in advice.lambdas:
-                w = advice.rho[lam]
-                for i, (x, s) in enumerate(zip(jt, js)):
-                    w *= advice.responses[i][(x, lam)][s]
-                p += w
-            row[js] = p
-        table[jt] = row
-    return ConditionalDistribution(advice.types, advice.strategies, table)
+    """p(s|X) = sum_lambda rho(lambda) prod_i p(s_i | X_i, lambda) in one
+    einsum; a label per player (S_i X_i) fits numpy's 52 up to 32 players."""
+    n, lams = len(advice.types), advice.lambdas
+    operands, sizes = [np.array([advice.rho[lam] for lam in lams]), [n]], []
+    for i, (table, x_i, s_i) in enumerate(zip(
+            advice.responses, advice.types, advice.strategies)):
+        rows = [[table[(x, lam)][s] for s in s_i for x in x_i] for lam in lams]
+        operands += [np.array(rows), [n, i]]
+        sizes += len(s_i), len(x_i)
+    p = np.einsum(*operands, list(range(n))).reshape(sizes)
+    return _from_grid(advice, np.moveaxis(p, range(1, 2 * n, 2), range(n)))
 
 
 def phase_basis(alpha: float) -> tuple[StateVector, StateVector]:
@@ -362,9 +368,8 @@ class QuantumAdvice:
                     raise ShapeMismatchError(
                         f"player {i} type {x!r}: need {d} basis vectors on "
                         f"a dimension-{d} wire")
-                gram = np.array([[np.vdot(u.amplitudes, v.amplitudes)
-                                  for v in basis] for u in basis])
-                if not np.allclose(gram, np.identity(d), atol=ALGEBRA_TOL):
+                b = np.array([v.amplitudes for v in basis])  # one row each
+                if not np.abs(b.conj() @ b.T - np.eye(d)).max() <= ALGEBRA_TOL:
                     raise NormalizationError(
                         f"player {i} type {x!r}: basis is not orthonormal")
                 table[x] = basis
@@ -385,16 +390,14 @@ class QuantumAdvice:
 
 
 def quantum_conditional(advice: QuantumAdvice) -> ConditionalDistribution:
-    """Born rule: p(s|X) = |<b_{X_1 s_1} x ... x b_{X_N s_N} | psi>|^2."""
+    """Born rule: p(s|X) = |<b_{X_1 s_1} x ... x b_{X_N s_N} | psi>|^2, with
+    player i's bras stacked as (S_i, d_i, X_i): wire i leaves (S_i, X_i)."""
+    n = len(advice.types)
     psi = advice.shared_state.amplitudes.reshape(advice.shared_state.dims)
-    table = {}
-    for jt in itertools.product(*advice.types):
-        bras = [np.array([b.amplitudes.conj() for b in per[x]])
-                for per, x in zip(advice.measurements, jt)]
-        probs = np.abs(apply_on_wires(bras, psi)) ** 2
-        table[jt] = dict(zip(itertools.product(*advice.strategies),
-                             map(float, probs.reshape(-1))))
-    return ConditionalDistribution(advice.types, advice.strategies, table)
+    bras = [np.stack([[b.amplitudes for b in per[x]] for x in x_i], -1).conj()
+            for per, x_i in zip(advice.measurements, advice.types)]
+    out = np.moveaxis(apply_on_wires(bras, psi), range(1, 2 * n, 2), range(n))
+    return _from_grid(advice, np.abs(out) ** 2)
 
 
 def conditional_of(advice) -> ConditionalDistribution:
@@ -627,12 +630,11 @@ def ghz_state(n: int, dim: int = 2) -> StateVector:
     """(|0..0> + ... + |(d-1)..(d-1)>)/sqrt d on n wires."""
     if n < 1:
         raise DomainMismatchError("need at least one wire")
-    state = ket("0" * n, dim).scaled(0)
-    for k in range(dim):
-        state = StateVector(
-            state.amplitudes + ket(str(k) * n, dim).amplitudes,
-            state.dims)
-    return state.scaled(1 / math.sqrt(dim))
+    dims = check_dims((dim,) * n, "dims")
+    stride = sum(dim ** j for j in range(n))  # |k..k> is at k * stride
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    amps[np.arange(dim) * stride] = 1 / math.sqrt(dim)
+    return StateVector(amps, dims)
 
 
 def parity(outcomes) -> int:

@@ -130,10 +130,8 @@ class ObservableStructure:
         For dim 2 these are the Hadamard basis states |+> and |->.
         """
         check_dims((dim,), "observable dims")
-        w = np.exp(2j * math.pi / dim)
-        cols = [np.array([w ** (j * k) for j in range(dim)], dtype=complex)
-                / math.sqrt(dim) for k in range(dim)]
-        return cls(tuple(StateVector(c, (dim,)) for c in cols))
+        k = np.outer(np.arange(dim), np.arange(dim)) % dim  # exact phases
+        return cls.from_matrix(np.exp(2j * math.pi * k / dim) / math.sqrt(dim))
 
     @classmethod
     def from_matrix(cls, columns) -> "ObservableStructure":

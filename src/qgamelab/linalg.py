@@ -165,7 +165,7 @@ class LinearMap:
         if self.rows != self.cols:
             return False
         prod = self.array.conj().T @ self.array
-        return bool(np.allclose(prod, np.eye(self.rows), rtol=0.0, atol=tol))
+        return bool(np.abs(prod - np.eye(self.rows)).max() <= tol)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from qgamelab.errors import (
     NormalizationError,
     ShapeMismatchError,
 )
-from qgamelab.linalg import StateVector
+from qgamelab.linalg import StateVector, apply_on_wires, ket
 
 CHSH_QUANTUM = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
 
@@ -770,3 +771,165 @@ def test_from_payoff_rejects_an_unknown_player():
     for player in (2, 5, -1):
         with pytest.raises(DomainMismatchError):
             BellExpression.from_payoff(chsh_game(), player)
+
+
+# The per-cell loops the one-contraction conditionals replaced, kept as
+# oracles: classical advice summed cell by cell over lambda, quantum
+# advice contracted once per joint type.
+
+def _loop_classical_conditional(advice):
+    table = {}
+    for jt in itertools.product(*advice.types):
+        row = {}
+        for js in itertools.product(*advice.strategies):
+            p = 0.0
+            for lam in advice.lambdas:
+                w = advice.rho[lam]
+                for i, (x, s) in enumerate(zip(jt, js)):
+                    w *= advice.responses[i][(x, lam)][s]
+                p += w
+            row[js] = p
+        table[jt] = row
+    return ConditionalDistribution(advice.types, advice.strategies, table)
+
+
+def _loop_quantum_conditional(advice):
+    psi = advice.shared_state.amplitudes.reshape(advice.shared_state.dims)
+    table = {}
+    for jt in itertools.product(*advice.types):
+        bras = [np.array([b.amplitudes.conj() for b in per[x]])
+                for per, x in zip(advice.measurements, jt)]
+        probs = np.abs(apply_on_wires(bras, psi)) ** 2
+        table[jt] = dict(zip(itertools.product(*advice.strategies),
+                             map(float, probs.reshape(-1))))
+    return ConditionalDistribution(advice.types, advice.strategies, table)
+
+
+def _random_classical_advice(rng, trial):
+    n = int(rng.integers(1, 4))
+    types = tuple(tuple(f"x{k}" for k in range(int(rng.integers(1, 4))))
+                  for _ in range(n))
+    strategies = tuple(tuple(f"s{k}" for k in range(int(rng.integers(1, 4))))
+                       for _ in range(n))
+    lambdas = tuple(f"l{k}" for k in range(int(rng.integers(1, 5))))
+    rho = rng.dirichlet(np.ones(len(lambdas)))
+    if len(lambdas) > 1:
+        rho[rng.integers(len(lambdas))] = 0.0
+        rho /= rho.sum()
+    kind = ("point", "dirichlet")[trial % 2]
+    responses = tuple(
+        {(x, lam): dict(zip(s_i, map(float, _random_distribution(
+            rng, len(s_i), kind)))) for x in x_i for lam in lambdas}
+        for x_i, s_i in zip(types, strategies))
+    return ClassicalAdvice(types, strategies, lambdas,
+                           dict(zip(lambdas, map(float, rho))), responses)
+
+
+def _random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d))
+                        + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+def _random_quantum_advice(rng, trial):
+    n = int(rng.integers(1, 4))
+    kind = ("product", "ghz", "random")[trial % 3]
+    if kind == "ghz":
+        dims = (int(rng.integers(2, 4)),) * n
+        state = ghz_state(n, dims[0])
+    else:
+        dims = tuple(int(rng.integers(2, 4)) for _ in range(n))
+        raw = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+        if kind == "random":
+            raw = [rng.normal(size=math.prod(dims))
+                   + 1j * rng.normal(size=math.prod(dims))]
+        state = StateVector(reduce(np.kron, raw), dims).normalized()
+    types = tuple(tuple(f"x{k}" for k in range(int(rng.integers(1, 4))))
+                  for _ in range(n))
+    strategies = tuple(tuple(f"s{k}" for k in range(d)) for d in dims)
+    measurements = []
+    for x_i, d in zip(types, dims):
+        table = {}
+        for x in x_i:
+            # a computational basis now and then keeps exact zeros around
+            u = np.identity(d) if rng.random() < 0.25 \
+                else _random_unitary(rng, d)
+            table[x] = tuple(StateVector(u[:, k], (d,)) for k in range(d))
+        measurements.append(table)
+    return QuantumAdvice(types, strategies, state, tuple(measurements))
+
+
+def _assert_same_table(got, want, trial):
+    assert list(got.table) == list(want.table), trial
+    for jt, row in want.table.items():
+        assert list(got.table[jt]) == list(row), trial
+        for js, p in row.items():
+            q = got.table[jt][js]
+            if p in (0.0, 1.0):
+                assert q == p, (trial, jt, js)
+            assert abs(q - p) <= 1e-12, (trial, jt, js)
+
+
+def test_conditionals_match_the_per_cell_loops():
+    rng = np.random.default_rng(2057_2013)
+    exact = 0
+    for trial in range(400):
+        if trial % 2:
+            advice = _random_quantum_advice(rng, trial // 2)
+            got, want = (quantum_conditional(advice),
+                         _loop_quantum_conditional(advice))
+        else:
+            advice = _random_classical_advice(rng, trial // 2)
+            got, want = (classical_conditional(advice),
+                         _loop_classical_conditional(advice))
+        _assert_same_table(got, want, trial)
+        assert conditional_of(advice).table == got.table
+        exact += sum(p in (0.0, 1.0) for row in want.table.values()
+                     for p in row.values())
+    assert exact > 1000
+
+
+def test_classical_conditional_takes_as_many_players_as_the_grid():
+    # one einsum label per player: 32 players stay within numpy's labels
+    n = 32
+    types, strategies = (("x",),) * n, (("s",),) * n
+    advice = ClassicalAdvice(
+        types, strategies, ("0", "1"), {"0": 0.5, "1": 0.5},
+        tuple({("x", lam): {"s": 1.0} for lam in "01"} for _ in range(n)))
+    assert classical_conditional(advice).table == \
+        {("x",) * n: {("s",) * n: 1.0}}
+
+
+def test_quantum_advice_rejects_a_basis_off_by_a_few_ppm():
+    long = StateVector(np.array([math.sqrt(1 + 8e-6), 0.0]), (2,))
+    basis = (long, StateVector(np.array([0.0, 1.0]), (2,)))
+    with pytest.raises(NormalizationError, match="basis is not orthonormal"):
+        QuantumAdvice((("x",), ("x",)), (BITS, BITS), ghz_state(2),
+                      ({"x": basis}, {"x": phase_basis(0.0)}))
+
+
+def _ket_sum_ghz(n, dim):
+    """The construction ``ghz_state`` replaced: a sum of kets |k..k>."""
+    state = ket("0" * n, dim).scaled(0)
+    for k in range(dim):
+        state = StateVector(
+            state.amplitudes + ket(str(k) * n, dim).amplitudes, state.dims)
+    return state.scaled(1 / math.sqrt(dim))
+
+
+def test_ghz_state_matches_the_ket_sum_bit_for_bit():
+    for n in range(1, 5):
+        for dim in range(1, 5):
+            got, want = ghz_state(n, dim), _ket_sum_ghz(n, dim)
+            assert got.dims == want.dims
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+def test_ghz_state_beyond_ten_levels():
+    for dim in (11, 12):
+        psi = ghz_state(2, dim)
+        assert psi.dims == (dim, dim)
+        nonzero = np.flatnonzero(psi.amplitudes)
+        assert nonzero.tolist() == [k * (dim + 1) for k in range(dim)]
+        assert np.all(psi.amplitudes[nonzero] == 1 / math.sqrt(dim))
+        assert psi.is_normalized()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from qgamelab import formats
-from qgamelab.bayes import BayesianGame, average_payoff
+from qgamelab.bayes import (
+    BayesianGame,
+    ClassicalAdvice,
+    QuantumAdvice,
+    average_payoff,
+)
 from qgamelab.cli import main
 from qgamelab.errors import FormatError
 from qgamelab.ewl import (
@@ -18,6 +24,7 @@ from qgamelab.ewl import (
     ewl_strategy_grid,
     payoff_table,
 )
+from qgamelab.linalg import StateVector
 
 FIXTURES = formats.FIXTURE_NAMES
 
@@ -524,6 +531,31 @@ def test_cli_tolerance_must_be_finite_and_non_negative(tmp_path, capsys):
     assert json.loads(out) == {"equilibria": [["H", "H"]]}
 
 
+def test_quantum_basis_off_by_a_few_ppm_is_a_format_error(tmp_path,
+                                                         capsys):
+    doc = json.loads(formats.fixture_text("chsh_common_interest.json"))
+    long = [[[math.sqrt(1 + 8e-6), 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0]]]
+    doc["advice"]["measurements"][0]["0"] = {"basis": long}
+    with pytest.raises(FormatError, match="basis is not orthonormal"):
+        formats.loads(json.dumps(doc))
+    path = tmp_path / "long_basis.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("bayes-payoff", "bell-value", "bell-bound"):
+        code, _, err = _run(capsys, [command, str(path)])
+        assert code == 1
+        assert "basis is not orthonormal" in err
+        assert _json_error(capsys, [command, str(path)])["type"] == \
+            "FormatError"
+
+
+def test_cli_fourier_observable_beyond_two_hundred_levels(capsys):
+    code, out, err = _run(capsys, ["diagram-eval", "id(1)", "--observable",
+                                   "fourier", "--dim", "256"])
+    assert (code, err) == (0, "")
+    assert out.count("\n") > 256
+
+
 def test_cli_observable_dim_is_checked_before_allocating(capsys):
     tracemalloc.start()
     try:
@@ -581,6 +613,106 @@ def _golden_commands(tmp_path) -> dict[str, list[str]]:
 def test_cli_ewl_output_matches_golden(tmp_path, capsys):
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     commands = _golden_commands(tmp_path)
+    assert sorted(commands) == sorted(golden)
+    for key, argv in commands.items():
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), key
+        assert out == golden[key], key
+
+
+# ----------------------------------------------------- golden bayes output
+
+GOLDEN_BAYES_PATH = Path(__file__).with_name("golden_bayes_cli.json")
+
+
+def _seeded_prior_and_payoffs(rng, types, strategies):
+    joint_types = list(itertools.product(*types))
+    weights = rng.integers(0, 4, size=len(joint_types))
+    weights[0] += 1
+    prior = {jt: float(w / weights.sum())
+             for jt, w in zip(joint_types, weights)}
+    cells = list(itertools.product(joint_types,
+                                   itertools.product(*strategies)))
+    payoffs = tuple({cell: round(float(v), 3) for cell, v in zip(
+        cells, rng.normal(size=len(cells)))} for _ in types)
+    return prior, payoffs
+
+
+def _seeded_classical_bayes_text() -> str:
+    """3 players with 2, 3 and 2 types and 2, 2 and 3 strategies, and
+    classical advice over three lambdas, the last of weight 0."""
+    rng = np.random.default_rng(20130604)
+    types = (("a0", "a1"), ("b0", "b1", "b2"), ("c0", "c1"))
+    strategies = (("0", "1"), ("u", "v"), ("p", "q", "r"))
+    prior, payoffs = _seeded_prior_and_payoffs(rng, types, strategies)
+    game = BayesianGame(types, strategies, prior, payoffs)
+    lambdas = ("l0", "l1", "l2")
+    responses = []
+    for x_i, s_i in zip(types, strategies):
+        table = {}
+        for x in x_i:
+            for lam in lambdas:
+                weights = rng.integers(0, 3, size=len(s_i))
+                weights[rng.integers(len(s_i))] += 1
+                table[(x, lam)] = {s: float(w / weights.sum())
+                                   for s, w in zip(s_i, weights)}
+        responses.append(table)
+    advice = ClassicalAdvice(types, strategies, lambdas,
+                             {"l0": 0.25, "l1": 0.75, "l2": 0.0},
+                             tuple(responses))
+    return formats.dumps(game, advice)
+
+
+def _seeded_qutrit_bayes_text() -> str:
+    """2 players with 2 types and 3 strategies each, a seeded entangled
+    qutrit pair and a seeded unitary measurement basis per type."""
+    rng = np.random.default_rng(20130605)
+    types = (("x", "y"), ("x", "y"))
+    strategies = (("0", "1", "2"), ("0", "1", "2"))
+    prior, payoffs = _seeded_prior_and_payoffs(rng, types, strategies)
+    game = BayesianGame(types, strategies, prior, payoffs)
+    state = StateVector(rng.normal(size=9) + 1j * rng.normal(size=9),
+                        (3, 3)).normalized()
+    measurements = []
+    for x_i in types:
+        table = {}
+        for x in x_i:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3))
+                                + 1j * rng.normal(size=(3, 3)))
+            table[x] = tuple(StateVector(q[:, k], (3,)) for k in range(3))
+        measurements.append(table)
+    advice = QuantumAdvice(types, strategies, state, tuple(measurements))
+    return formats.dumps(game, advice)
+
+
+def _golden_bayes_commands(tmp_path) -> dict[str, list[str]]:
+    """Every bayes command pinned by the golden file, keyed by a stable
+    name: the payoffs, and each player's Bell value and bound."""
+    specs = {name: (_write_fixture(tmp_path, name), players)
+             for name, players in (("chsh_common_interest.json", 2),
+                                   ("mermin_ghz3.json", 3))}
+    for name, text, players in (
+            ("seeded_classical3.json", _seeded_classical_bayes_text(), 3),
+            ("seeded_qutrit2.json", _seeded_qutrit_bayes_text(), 2)):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        specs[name] = (str(path), players)
+    commands = {}
+    for name, (path, players) in specs.items():
+        runs = [["bayes-payoff", path]]
+        for player in map(str, range(players)):
+            runs += [[command, path, "--player", player]
+                     for command in ("bell-value", "bell-bound")]
+        for argv in runs:
+            for output in ("table", "json"):
+                key = " ".join([name] + argv[2:] + [argv[0], output])
+                commands[key] = argv + ["--output", output]
+    return commands
+
+
+def test_cli_bayes_output_matches_golden(tmp_path, capsys):
+    golden = json.loads(GOLDEN_BAYES_PATH.read_text(encoding="utf-8"))
+    commands = _golden_bayes_commands(tmp_path)
     assert sorted(commands) == sorted(golden)
     for key, argv in commands.items():
         code, out, err = _run(capsys, argv)

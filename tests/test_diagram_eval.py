@@ -278,6 +278,13 @@ def test_orthogonality_check_names_the_first_skew_pair_at_d256():
     assert info.value.total == pytest.approx(0.1 / math.sqrt(1.01))
 
 
+def test_fourier_basis_matches_the_dft_beyond_two_hundred_points():
+    for d in (2, 3, 7, 256, 512):
+        points = ObservableStructure.fourier(d).point_matrix()
+        dft = np.fft.ifft(np.identity(d), axis=0) * math.sqrt(d)
+        assert np.abs(points - dft).max() <= 1e-12, d
+
+
 def test_evaluate_scalar_spider():
     # a 0 -> 0 spider is the scalar d (trace of the identity over points)
     out = evaluate(Spider(0, 0), Z)

@@ -206,6 +206,27 @@ def test_unitarity_random_products():
         assert (dagger(u) @ u).allclose(identity((2, 2)), tol=1e-9)
 
 
+def test_unitarity_verdict_is_the_entrywise_gram_rule():
+    rng = np.random.default_rng(12)
+    tol = 1e-9
+    cases = [np.array([[1e200, 1e200], [1e200, -1e200]]),  # NaN in U^dag U
+             np.identity(3), np.ones((2, 2))]
+    for scale in (0.0, 0.3e-9, 0.5e-9, 0.7e-9, 1e-6):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3))
+                            + 1j * rng.normal(size=(3, 3)))
+        cases.append(q + scale * rng.normal(size=(3, 3)))
+    verdicts = []
+    for arr in cases:
+        u = LinearMap(arr, (len(arr),), (len(arr),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = arr.conj().T @ arr
+            want = bool(np.allclose(gram, np.identity(len(arr)), rtol=0.0,
+                                    atol=tol))
+            assert u.is_unitary(tol) is want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
 def test_apply_on_wires_matches_kron_of_the_factors():
     rng = np.random.default_rng(5)
 
