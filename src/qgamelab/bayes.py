@@ -11,12 +11,17 @@ average payoff.
 
 Tables keep their string labels; ``_grid`` and ``_from_grid`` turn them
 into float arrays with axes (X_1..X_N, S_1..S_N) in label order and back,
-the one place that knows this layout, in both directions.  Payoffs, Bell
-values, both conditionals and every search run on those arrays.
+the one place that knows this layout, in both directions.  Each validated
+table builds its grid once, in its constructor, and keeps it privately:
+a game its coefficients mu(X) P_i(X, s) per player, an expression its
+coefficients, a conditional its probabilities.  Each advice object reduces
+to its conditional once and keeps it.  Payoffs, Bell values and every
+search read those stored arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -137,6 +142,10 @@ class BayesianGame:
                     f"player {i} has a non-finite payoff")
             tables.append(table)
         object.__setattr__(self, "payoffs", tuple(tables))
+        # player i's Bell coefficients mu(X) P_i(X, s), stacked on axis 0
+        mu = _grid(self, lambda key: prior[key[0]])
+        object.__setattr__(self, "_alphas", mu * np.stack(
+            [_grid(self, t.__getitem__) for t in tables]))
 
     @property
     def players(self) -> int:
@@ -201,6 +210,8 @@ class ConditionalDistribution:
             raise DomainMismatchError(
                 f"conditional has unknown joint types: {sorted(extra)[:4]}")
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_p", _grid(
+            self, lambda key: table[key[0]][key[1]]))
 
     @property
     def players(self) -> int:
@@ -227,7 +238,7 @@ class ConditionalDistribution:
         """Largest change in any player's marginal when only the other
         players' types change; 0 for a no-signaling table."""
         n = self.players
-        p = _conditional_grid(self)
+        p = self._p
         worst = 0.0
         for i in range(n):
             others = tuple(n + j for j in range(n) if j != i)
@@ -291,14 +302,17 @@ class ClassicalAdvice:
         """Singleton-lambda advice from per-player maps type -> strategy."""
         types = _label_lists(types, "type")
         strategies = _label_lists(strategies, "strategy")
-        responses = []
-        for i, fn in enumerate(response_maps):
-            table = {}
-            for x in types[i]:
-                s = str(fn[x])
-                table[(x, "0")] = {s: 1.0}
-            responses.append(table)
-        return cls(types, strategies, ("0",), {"0": 1.0}, tuple(responses))
+        # a map without a type, or one map too many or too few, is left
+        # for the constructor to report
+        responses = tuple(
+            {(x, "0"): {str(fn[x]): 1.0} for x in xs if x in fn}
+            for fn, xs in itertools.zip_longest(response_maps, types,
+                                                fillvalue=()))
+        return cls(types, strategies, ("0",), {"0": 1.0}, responses)
+
+    @functools.cached_property
+    def _conditional(self) -> ConditionalDistribution:
+        return classical_conditional(self)
 
 
 def classical_conditional(advice: ClassicalAdvice) -> ConditionalDistribution:
@@ -388,6 +402,10 @@ class QuantumAdvice:
                 {str(x): phase_basis(a) for x, a in per.items()})
         return cls(types, strategies, shared_state, tuple(measurements))
 
+    @functools.cached_property
+    def _conditional(self) -> ConditionalDistribution:
+        return quantum_conditional(self)
+
 
 def quantum_conditional(advice: QuantumAdvice) -> ConditionalDistribution:
     """Born rule: p(s|X) = |<b_{X_1 s_1} x ... x b_{X_N s_N} | psi>|^2, with
@@ -401,13 +419,12 @@ def quantum_conditional(advice: QuantumAdvice) -> ConditionalDistribution:
 
 
 def conditional_of(advice) -> ConditionalDistribution:
-    """Reduce any advice (or a raw conditional) to its conditional."""
+    """Reduce any advice (or a raw conditional) to its conditional, once
+    per advice object."""
     if isinstance(advice, ConditionalDistribution):
         return advice
-    if isinstance(advice, ClassicalAdvice):
-        return classical_conditional(advice)
-    if isinstance(advice, QuantumAdvice):
-        return quantum_conditional(advice)
+    if isinstance(advice, (ClassicalAdvice, QuantumAdvice)):
+        return advice._conditional
     raise TypeError(f"not advice: {advice!r}")
 
 
@@ -439,6 +456,8 @@ class BellExpression:
         if not all(map(math.isfinite, coeffs.values())):
             raise DomainMismatchError("a coefficient is not finite")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_alpha", _grid(
+            self, lambda key: coeffs.get(key, 0.0)))
         if self.bound is not None:
             object.__setattr__(self, "bound", float(self.bound))
 
@@ -467,32 +486,19 @@ def _check_same_domain(a, b, what: str) -> None:
             f"{b.types} x {b.strategies})")
 
 
-def _conditional_grid(cond: ConditionalDistribution) -> np.ndarray:
-    return _grid(cond, lambda key: cond.table[key[0]][key[1]])
-
-
-def _weights(game: BayesianGame, cond: ConditionalDistribution) \
-        -> np.ndarray:
-    """mu(X) p(s|X) on the grid."""
-    return _grid(game, lambda key: game.prior[key[0]]) \
-        * _conditional_grid(cond)
-
-
 def average_payoff(game: BayesianGame, advice) -> tuple[float, ...]:
-    """F_i = sum_X mu(X) sum_s p(s|X) P_i(X, s) for every player."""
+    """F_i = sum_X mu(X) sum_s p(s|X) P_i(X, s) for every player: the Bell
+    value of player i's coefficients, summed in the same order."""
     cond = conditional_of(advice)
     _check_same_domain(game, cond, "average_payoff")
-    weights = _weights(game, cond)
-    return tuple(float((weights * _grid(game, table.__getitem__)).sum())
-                 for table in game.payoffs)
+    return tuple(float((alpha * cond._p).sum()) for alpha in game._alphas)
 
 
 def bell_value(expr: BellExpression, advice) -> float:
     """The functional sum alpha(s, X) p(s|X)."""
     cond = conditional_of(advice)
     _check_same_domain(expr, cond, "bell_value")
-    alpha = _grid(expr, lambda key: expr.coefficients.get(key, 0.0))
-    return float((alpha * _conditional_grid(cond)).sum())
+    return float((expr._alpha * cond._p).sum())
 
 
 @dataclass(frozen=True)
@@ -531,10 +537,9 @@ def classical_optimum(expr: BellExpression,
         raise EnumerationLimitError(
             f"{count} deterministic response profiles exceed the limit "
             f"{limit}", count, limit)
-    alpha = _grid(expr, lambda key: expr.coefficients.get(key, 0.0))
     # party-major axes (X_1, S_1, .., X_N, S_N); summing the axes of a
     # one-strategy party first keeps every array below the profile count
-    alpha = alpha.transpose([a for i in range(n) for a in (i, n + i)])
+    alpha = expr._alpha.transpose([a for i in range(n) for a in (i, n + i)])
     forced = tuple(a for i, s in enumerate(expr.strategies) if len(s) == 1
                    for a in (2 * i, 2 * i + 1))
     values = alpha.sum(axis=forced, keepdims=True)[np.newaxis]
@@ -788,17 +793,15 @@ def is_advised_equilibrium(game: BayesianGame, advice,
                 f"limit {limit}", count, limit)
     base = average_payoff(game, cond)
     n = game.players
-    weights = _weights(game, cond)
 
     best_gain = 0.0
     best_player = None
     best_deviation = None
-    for i, table in enumerate(game.payoffs):
-        p = _grid(game, table.__getitem__)
-        w_i, p_i = (np.moveaxis(a, (i, n + i), (0, 1)).reshape(
-            a.shape[i], a.shape[n + i], -1) for a in (weights, p))
+    for i, alpha in enumerate(game._alphas):
+        p_i, a_i = (np.moveaxis(a, (i, n + i), (0, 1)).reshape(
+            a.shape[i], a.shape[n + i], -1) for a in (cond._p, alpha))
         # g[x, r, t]: payoff at own type x, recommendation r, playing t
-        g = np.einsum("xrm,xtm->xrt", w_i, p_i)
+        g = np.einsum("xrm,xtm->xrt", p_i, a_i)
         gain = float(g.max(axis=2).sum()) - base[i]
         if gain > best_gain + tol:
             best_gain = gain
@@ -823,8 +826,7 @@ def equivalence_of_conditionals(a: ConditionalDistribution,
         raise ShapeMismatchError(
             f"conditionals have different shapes: {a.types} x "
             f"{a.strategies} vs {b.types} x {b.strategies}")
-    return bool(np.all(
-        np.abs(_conditional_grid(a) - _conditional_grid(b)) <= tol))
+    return bool(np.all(np.abs(a._p - b._p) <= tol))
 
 
 BITS = ("0", "1")

@@ -192,11 +192,14 @@ def validate_born_vector(weights, dim: int = 2,
     """Check candidate weights form a distribution over point strings.
 
     Weights above -1e-12 are clamped to zero; anything more negative is
-    rejected, as is a total mass off 1 by more than ``tol``.
+    rejected, as is a non-finite weight or a total mass off 1 by more
+    than ``tol``.
     """
     values = [float(w) for w in weights]
     cleaned = []
     for i, w in enumerate(values):
+        if not math.isfinite(w):
+            raise NormalizationError(f"weight {i} is not finite: {w!r}", w)
         if w < -ALGEBRA_TOL:
             raise NormalizationError(f"weight {i} is negative: {w!r}", w)
         cleaned.append(max(w, 0.0))

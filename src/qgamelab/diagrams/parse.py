@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DiagramSyntaxError
 from .observables import PhaseElement
@@ -34,13 +34,12 @@ from .terms import (
 )
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
+    (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
   | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>[();,*-])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 _ATOM_STARTERS = ("id", "spider", "cup", "cap", "swap", "box", "ket", "(")
 
@@ -50,41 +49,34 @@ _ATOM_STARTERS = ("id", "spider", "cup", "cap", "swap", "box", "ket", "(")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # "number" | "ident" | "punct" | "eof"
     text: str
-    line: int
-    column: int
+    offset: int     # index of the first character in the source
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``text[offset]``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DiagramSyntaxError(
-                f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            tokens.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise DiagramSyntaxError(f"unexpected character {m.group()!r}",
+                                     *_position(text, m.start()))
+        if m.lastgroup != "skip":
+            tokens.append(Token(m.lastgroup, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
@@ -102,7 +94,7 @@ class _Parser:
         raise DiagramSyntaxError(
             f"unexpected {got}, expected one of: "
             f"{', '.join(sorted(expected))}",
-            tok.line, tok.column, expected)
+            *_position(self.text, tok.offset), expected)
 
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
@@ -134,7 +126,7 @@ class _Parser:
             if self.depth == MAX_NESTING:
                 raise DiagramSyntaxError(
                     f"parentheses nest deeper than {MAX_NESTING} levels",
-                    tok.line, tok.column)
+                    *_position(self.text, tok.offset))
             self.depth += 1
             self.advance()
             inner = self.parse_diagram()
@@ -222,7 +214,7 @@ def parse(text: str) -> DiagramTerm:
 
     Raises DiagramSyntaxError with line/column and the expected tokens.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     term = parser.parse_diagram()
     if parser.peek().kind != "eof":
         parser.fail((";", "*", "end of input"))

@@ -8,7 +8,8 @@ permutations recovers an ordinary strategic-form game.
 
 Payoff tables are dense float arrays indexed (k_0, ..., k_{N-1}, player)
 by label position: one contraction runs the shared state through each
-player's stack of gates, and Nash and Pareto scans read that array.
+player's stack of gates.  ``StrategicFormGame`` builds that array once, in
+its constructor, and Nash and Pareto scans and ``quantize`` read it.
 Label strings appear only where a table becomes a dict in product order
 of the label lists, which is also the order ``StrategicFormGame`` keeps.
 """
@@ -85,6 +86,9 @@ class StrategicFormGame:
                 f"payoff table has entries outside the strategy sets: "
                 f"{sorted(extra)}")
         object.__setattr__(self, "payoffs", table)
+        # the payoffs as (k_0..k_{N-1}, player), in product order
+        object.__setattr__(self, "_pay", np.reshape(
+            list(table.values()), tuple(map(len, labels)) + (n,)))
 
     @property
     def players(self) -> int:
@@ -361,12 +365,6 @@ def _check_tol(tol: float) -> None:
             f"tolerance must be finite and non-negative, got {tol}")
 
 
-def _payoff_grid(g: StrategicFormGame) -> np.ndarray:
-    """The payoff dict, kept in product order, as (k_0..k_{N-1}, player)."""
-    shape = tuple(map(len, g.strategy_labels)) + (g.players,)
-    return np.array(list(g.payoffs.values()), dtype=float).reshape(shape)
-
-
 def pure_nash(game, tol: float = NASH_TOL) -> list[Profile]:
     """Profiles with no strictly improving unilateral deviation.
 
@@ -377,7 +375,7 @@ def pure_nash(game, tol: float = NASH_TOL) -> list[Profile]:
     """
     _check_tol(tol)
     g = _as_game(game)
-    pay = _payoff_grid(g)
+    pay = g._pay
     stable = np.ones(pay.shape[:-1], dtype=bool)
     for i in range(g.players):
         mine = pay[..., i]
@@ -418,7 +416,7 @@ def pareto_optimal(game, tol: float = NASH_TOL) -> list[Profile]:
     """
     _check_tol(tol)
     g = _as_game(game)
-    rows = _payoff_grid(g).reshape(-1, g.players)
+    rows = g._pay.reshape(-1, g.players)
     # Rows with the highest sums dominate most others, so a pass against
     # them leaves few rows for the exact scan against every row.
     top = np.argsort(-rows.sum(axis=1), kind="stable")[:_FIRST_PASS]
@@ -524,7 +522,7 @@ def quantize(classical: StrategicFormGame, embedding,
     )
 
     got = _payoff_array(spec, classical.strategy_labels).reshape(-1, n)
-    want = _payoff_grid(classical).reshape(-1, n)
+    want = classical._pay.reshape(-1, n)
     off = np.flatnonzero((np.abs(got - want) > tol).any(axis=1))
     if off.size:
         profile = classical.profiles()[off[0]]

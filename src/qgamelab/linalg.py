@@ -326,13 +326,10 @@ def states_phase_equal(a: StateVector, b: StateVector,
     if a.dims != b.dims:
         return False
     va, vb = a.amplitudes, b.amplitudes
-    pivot = None
-    for i in range(va.shape[0]):
-        if abs(va[i]) > tol or abs(vb[i]) > tol:
-            pivot = i
-            break
-    if pivot is None:
+    pivots = np.flatnonzero((np.abs(va) > tol) | (np.abs(vb) > tol))
+    if not pivots.size:
         return True  # both effectively zero
+    pivot = pivots[0]
     if abs(va[pivot]) <= tol or abs(vb[pivot]) <= tol:
         return False
     phase = va[pivot] / vb[pivot]

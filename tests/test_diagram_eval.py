@@ -341,3 +341,11 @@ def test_size_caps_are_checked_before_allocating():
     assert peak < 16 * 2 ** 20
     with pytest.raises(DimensionLimitError):
         spider_map(Z, 0, 30)
+
+
+def test_validate_born_vector_rejects_non_finite_weights():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NormalizationError, match="weight 0 is not finite"):
+            validate_born_vector([bad, 0.5, 0.5, 0.0])
+    with pytest.raises(NormalizationError, match="weight 3 is not finite"):
+        validate_born_vector([0.5, 0.5, 0.0, math.nan])

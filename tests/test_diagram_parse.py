@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import pytest
 
@@ -19,7 +21,7 @@ from qgamelab.diagrams import (
     pretty,
     typecheck,
 )
-from qgamelab.diagrams.parse import MAX_NESTING
+from qgamelab.diagrams.parse import MAX_NESTING, _position, _tokenize
 from qgamelab.errors import (
     DiagramSyntaxError,
     UnboundBoxError,
@@ -209,3 +211,65 @@ def test_parse_nesting_cap():
     with pytest.raises(DiagramSyntaxError) as info:
         parse("\n" + "(" * 2000 + "id(1)" + ")" * 2000)
     assert (info.value.line, info.value.column) == (2, MAX_NESTING + 1)
+
+
+_OLD_TOKEN_RE = re.compile(r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<punct>[();,*-])
+""", re.VERBOSE)
+
+
+def _loop_tokenize(text):
+    """The tokenizer that tracked line and column per lexeme: a list of
+    (kind, text, line, column), or the (line, column) of a bad character."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if m is None:
+            return (line, col)
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
+        else:
+            if kind not in ("ws", "comment"):
+                tokens.append((kind, lexeme, line, col))
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def test_tokenizer_positions_match_the_per_lexeme_loop():
+    rng = random.Random(53)
+    pieces = ["id", "(", "2", ")", ";", "*", "spider", ",", "-", "0.5",
+              "pi", "box", "U", "ket", "01", " ", "  ", "\t", "\n", "\r\n",
+              "# note\n", "#", ".5e-3", "1e9", "@", "$", "\f", "é"]
+    bad = 0
+    for trial in range(500):
+        text = "".join(rng.choice(pieces)
+                       for _ in range(rng.randrange(0, 40)))
+        want = _loop_tokenize(text)
+        if isinstance(want, tuple):
+            bad += 1
+            with pytest.raises(DiagramSyntaxError) as info:
+                _tokenize(text)
+            assert (info.value.line, info.value.column) == want, text
+            continue
+        got = [(t.kind, t.text, *_position(text, t.offset))
+               for t in _tokenize(text)]
+        assert got == want, text
+    assert 100 < bad < 400
+
+
+def test_parse_errors_report_line_and_column_from_the_offset():
+    with pytest.raises(DiagramSyntaxError) as info:
+        parse("id(1) ;\n  # comment\n\t  spider(1,1) *\n\n   )")
+    assert (info.value.line, info.value.column) == (5, 4)
+    with pytest.raises(DiagramSyntaxError) as info:
+        parse("id(1)\n# trailing comment\n ;")
+    assert (info.value.line, info.value.column) == (3, 3)

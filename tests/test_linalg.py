@@ -249,3 +249,51 @@ def test_apply_on_wires_matches_kron_of_the_factors():
         assert got.shape == tuple(op.shape[0] for op in ops)
         want = reduce(np.kron, ops, np.ones((1, 1))) @ vec
         assert np.allclose(got.reshape(-1), want, rtol=0.0, atol=1e-12)
+
+
+def _loop_states_phase_equal(a, b, tol):
+    """The pivot search ``states_phase_equal`` replaced: a scan for the
+    first amplitude above ``tol`` in either vector."""
+    if a.dims != b.dims:
+        return False
+    va, vb = a.amplitudes, b.amplitudes
+    pivot = None
+    for i in range(va.shape[0]):
+        if abs(va[i]) > tol or abs(vb[i]) > tol:
+            pivot = i
+            break
+    if pivot is None:
+        return True
+    if abs(va[pivot]) <= tol or abs(vb[pivot]) <= tol:
+        return False
+    phase = va[pivot] / vb[pivot]
+    phase /= abs(phase)
+    return bool(np.allclose(va, phase * vb, rtol=0.0, atol=tol))
+
+
+def test_states_phase_equal_matches_the_pivot_loop():
+    rng = np.random.default_rng(329)
+    tol = 1e-9
+    seen = set()
+    for trial in range(600):
+        size = int(rng.integers(1, 9))
+        va = rng.normal(size=size) + 1j * rng.normal(size=size)
+        va[rng.random(size) < 0.4] = 0.0
+        va[rng.random(size) < 0.2] = tol / 2   # below the pivot threshold
+        kind = trial % 4
+        if kind == 0:    # a global phase: equal
+            vb = np.exp(1j * rng.uniform(0, 2 * np.pi)) * va
+        elif kind == 1:  # a relative phase on one entry: a mismatch
+            vb = va.copy()
+            vb[rng.integers(size)] *= np.exp(1j * rng.uniform(0.5, 3))
+        elif kind == 2:  # the pivot present in only one of the vectors
+            vb = va.copy()
+            vb[np.flatnonzero(np.abs(va) > tol)[:1]] = 0.0
+        else:            # both effectively zero
+            va = np.full(size, tol / 2)
+            vb = np.zeros(size, dtype=complex)
+        a, b = StateVector(va, (size,)), StateVector(vb, (size,))
+        got = states_phase_equal(a, b, tol)
+        assert got == _loop_states_phase_equal(a, b, tol), trial
+        seen.add((kind, got))
+    assert {(0, True), (1, False), (2, False), (3, True)} <= seen

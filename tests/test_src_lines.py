@@ -1,0 +1,47 @@
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+_spec = importlib.util.spec_from_file_location("src_lines", _PATH)
+src_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(src_lines)
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps the line
+
+# a comment line
+
+
+def f(x):
+    """One-line docstring."""
+    text = """a string that is
+    not a docstring"""
+    return math.sqrt(x) + len(text)
+
+
+class C:
+    """Class
+    docstring."""
+    y = (1,
+         2)
+'''
+
+
+def test_count_lines_drops_docstrings_comments_and_blanks():
+    raw, code = src_lines.count_lines(SOURCE)
+    assert raw == 20
+    # import, def, text = (2 lines), return, class, y = (2 lines)
+    assert code == 8
+
+
+def test_main_prints_every_file_and_a_total(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "a.py").write_text("x = 1\n\n")
+    (tmp_path / "pkg" / "b.py").write_text(SOURCE)
+    assert src_lines.main(["src_lines.py", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[:2] for r in rows] == [["2", "1"], ["20", "8"],
+                                            ["22", "9"]]
+    assert rows[-1].endswith("total")
