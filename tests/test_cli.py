@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -718,3 +719,76 @@ def test_cli_bayes_output_matches_golden(tmp_path, capsys):
         code, out, err = _run(capsys, argv)
         assert (code, err) == (0, ""), key
         assert out == golden[key], key
+
+
+# --------------------------------------------------- golden diagram output
+
+GOLDEN_DIAGRAM_PATH = Path(__file__).with_name("golden_diagram_cli.json")
+
+# Diagrams for every dimension: the snake, a ket, swaps, a scalar
+# spider(0,0) factor, a cup-cap loop and a Seq nested inside a Par.
+_GOLDEN_DIAGRAMS = (
+    "spider(1,2) ; spider(2,1)",
+    "id(1) * cup ; cap * id(1)",
+    "ket(10) ; swap",
+    "swap ; spider(2,2)",
+    "spider(0,3)",
+    "spider(0,0) * spider(1,2) ; swap",
+    "(spider(1,2) ; swap) * ket(1) ; spider(2,1) * id(1)",
+    "cup * id(1) ; id(1) * swap ; cap * id(1)",
+    "id(2) ; (cup ; cap) * swap ; spider(2,0) * cup",
+)
+# Phases have concrete syntax in the qubit convention only.
+_GOLDEN_PHASED = (
+    "spider(1,1,0.5pi) * spider(1,2,0.25) ; spider(3,1,-1.5)",
+    "ket(01) ; spider(1,1,pi) * spider(1,1,0.3) ; swap",
+    "(spider(1,2,0.7) ; spider(1,1,-0.2) * id(1)) * id(1) ; "
+    "id(1) * spider(2,1,1.1) ; spider(2,2,pi)",
+)
+
+
+def _golden_diagram_commands() -> dict[str, list[str]]:
+    """Every diagram-eval run pinned by the golden file, keyed by a stable
+    name: observable, dimension, output format and source."""
+    commands = {}
+    for observable in ("computational", "fourier"):
+        for dim in (2, 3):
+            sources = _GOLDEN_DIAGRAMS + (_GOLDEN_PHASED if dim == 2 else ())
+            for source in sources:
+                for output in ("table", "json"):
+                    key = f"{observable} d{dim} {output} {source}"
+                    commands[key] = ["diagram-eval", source, "--dim",
+                                     str(dim), "--observable", observable,
+                                     "--output", output]
+    return commands
+
+
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+
+
+def _numbers_and_skeleton(text: str) -> tuple[np.ndarray, str]:
+    """The numbers of a report and the text left around them."""
+    numbers = [float(m) for m in re.findall(_NUMBER, text)]
+    return np.array(numbers), re.sub(_NUMBER, "#", text)
+
+
+def test_cli_diagram_output_matches_golden(capsys):
+    """Computational output is pinned byte for byte; Fourier output up to
+    1e-12 per printed number, since its entries are sums of rounded
+    products whose order the evaluator is free to choose."""
+    golden = json.loads(GOLDEN_DIAGRAM_PATH.read_text(encoding="utf-8"))
+    commands = _golden_diagram_commands()
+    assert sorted(commands) == sorted(golden)
+    for key, argv in commands.items():
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), key
+        if key.startswith("computational"):
+            assert out == golden[key], key
+            continue
+        got, got_text = _numbers_and_skeleton(out)
+        want, want_text = _numbers_and_skeleton(golden[key])
+        assert got.shape == want.shape, key
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, key
+        # a residue may flip between -0 and 0 or gain digits, nothing else
+        assert got_text.replace("-#", "#").replace("+#", "#") == \
+            want_text.replace("-#", "#").replace("+#", "#"), key
