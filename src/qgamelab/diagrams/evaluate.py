@@ -13,7 +13,15 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import ShapeMismatchError, UnboundBoxError
-from ..linalg import LinearMap, apply_on_wires, check_dims, identity
+from ..linalg import (
+    LinearMap,
+    apply_on_span,
+    apply_on_wires,
+    check_dims,
+    identity,
+    swap_on_span,
+    tensor_in_place,
+)
 from .observables import ObservableStructure, PhaseElement
 from .terms import (
     Box,
@@ -96,14 +104,111 @@ def evaluate(term: DiagramTerm, obs: ObservableStructure,
                 raise ShapeMismatchError(
                     f"box {name!r} has wire dims {bound.in_dims} -> "
                     f"{bound.out_dims}; every wire must have dimension {d}")
-    return _eval(term, obs, boxes)
+    return _Evaluation(obs, boxes).map(term)
 
 
-def _eval(term: DiagramTerm, obs: ObservableStructure,
-          boxes: Mapping[str, LinearMap] | None) -> LinearMap:
-    d = obs.dim
+class _Evaluation:
+    """One ``evaluate`` call: each atom's map is built once and reused.
+
+    A ``Seq`` starts from its first stage's map and streams every later
+    ``Par`` stage through it factor by factor; any other stage is
+    composed as a whole.  A ``Par`` evaluated on its own is built in
+    place.  Every map and intermediate is checked against the dimension
+    cap before it is allocated.
+    """
+
+    def __init__(self, obs: ObservableStructure,
+                 boxes: Mapping[str, LinearMap] | None):
+        self.obs = obs
+        self.boxes = boxes
+        self.atoms: dict[DiagramTerm, LinearMap] = {}
+
+    def map(self, term: DiagramTerm) -> LinearMap:
+        if isinstance(term, Seq):
+            return self._seq(term.stages)
+        if isinstance(term, Par):
+            return self._par(term.factors)
+        if isinstance(term, Box):
+            if self.boxes is None or term.name not in self.boxes:
+                raise UnboundBoxError(f"box {term.name!r} is not bound")
+            return self.boxes[term.name]
+        if term not in self.atoms:
+            self.atoms[term] = _atom_map(term, self.obs)
+        return self.atoms[term]
+
+    def _dims(self, wires: int, what: str) -> tuple[int, ...]:
+        return check_dims((self.obs.dim,) * wires, what)
+
+    def _seq(self, stages) -> LinearMap:
+        first = self.map(stages[0])
+        arr, wires = first.array, len(first.out_dims)
+        for stage in stages[1:]:
+            if isinstance(stage, Par):
+                arr, wires = self._stream(stage.factors, arr, wires)
+            else:
+                acc = LinearMap(arr, first.in_dims, (self.obs.dim,) * wires)
+                acc = self.map(stage) @ acc
+                arr, wires = acc.array, len(acc.out_dims)
+        return LinearMap(arr, first.in_dims, (self.obs.dim,) * wires)
+
+    def _stream(self, factors, arr: np.ndarray,
+                wires: int) -> tuple[np.ndarray, int]:
+        """Apply one ``Par`` stage to the rows of ``arr``, factor by factor.
+
+        An ``Id`` costs nothing and a ``Swap`` is an axis swap.  Factors
+        that add no wires go first, so no intermediate is wider than the
+        wider side of the stage.
+        """
+        d = self.obs.dim
+        sides, ops = [], []     # (inputs, outputs) and matrix per factor
+        for f in factors:
+            if isinstance(f, Id):
+                sides.append((f.wires, f.wires))
+                ops.append(None)
+            elif isinstance(f, Swap):
+                sides.append((2, 2))
+                ops.append(None)
+            else:
+                m = self.map(f)
+                sides.append((len(m.in_dims), len(m.out_dims)))
+                ops.append(m.array)
+        done = [False] * len(factors)
+        for k in sorted(range(len(factors)),
+                        key=lambda k: sides[k][1] > sides[k][0]):
+            if isinstance(factors[k], Id):
+                continue
+            before = (d,) * sum(outs if done[j] else ins
+                                for j, (ins, outs) in enumerate(sides[:k]))
+            wires += sides[k][1] - sides[k][0]
+            self._dims(wires, "Par stage intermediate dims")
+            if isinstance(factors[k], Swap):
+                arr = swap_on_span(arr, before, d)
+            else:
+                arr = apply_on_span(ops[k], arr, before)
+            done[k] = True
+        return arr, wires
+
+    def _par(self, factors) -> LinearMap:
+        """The Kronecker product of the factors, in one allocation."""
+        d = self.obs.dim
+        blocks, ins, outs = [], 0, 0
+        for f in factors:
+            if isinstance(f, Id):
+                blocks.append(f.wires)
+                ins, outs = ins + f.wires, outs + f.wires
+            else:
+                m = self.map(f)
+                blocks.append(m.array)
+                ins, outs = ins + len(m.in_dims), outs + len(m.out_dims)
+        in_dims = self._dims(ins, "Par in_dims")
+        out_dims = self._dims(outs, "Par out_dims")
+        blocks = [d ** b if isinstance(b, int) else b for b in blocks]
+        return LinearMap(tensor_in_place(blocks), in_dims, out_dims)
+
+
+def _atom_map(term: DiagramTerm, obs: ObservableStructure) -> LinearMap:
     if isinstance(term, Id):
-        return identity((d,) * term.wires)
+        return identity((obs.dim,) * term.wires)
     if isinstance(term, Spider):
         return spider_map(obs, term.inputs, term.outputs, term.phase)
     if isinstance(term, Cup):
@@ -111,23 +216,9 @@ def _eval(term: DiagramTerm, obs: ObservableStructure,
     if isinstance(term, Cap):
         return spider_map(obs, 2, 0)
     if isinstance(term, Swap):
-        return swap_map(d)
-    if isinstance(term, Box):
-        if boxes is None or term.name not in boxes:
-            raise UnboundBoxError(f"box {term.name!r} is not bound")
-        return boxes[term.name]
+        return swap_map(obs.dim)
     if isinstance(term, Ket):
         return ket_map(obs, term.digits)
-    if isinstance(term, Seq):
-        acc = _eval(term.stages[0], obs, boxes)
-        for stage in term.stages[1:]:
-            acc = _eval(stage, obs, boxes) @ acc
-        return acc
-    if isinstance(term, Par):
-        acc = _eval(term.factors[0], obs, boxes)
-        for factor in term.factors[1:]:
-            acc = acc.tensor(_eval(factor, obs, boxes))
-        return acc
     raise TypeError(f"not a diagram term: {term!r}")
 
 

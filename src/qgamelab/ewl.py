@@ -9,7 +9,8 @@ permutations recovers an ordinary strategic-form game.
 Payoff tables are dense float arrays indexed (k_0, ..., k_{N-1}, player)
 by label position: one contraction runs the shared state through each
 player's stack of gates.  ``StrategicFormGame`` builds that array once, in
-its constructor, and Nash and Pareto scans and ``quantize`` read it.
+its constructor, and Nash and Pareto scans and ``quantize`` read it; the
+scans read a spec's array as it comes out of the contraction.
 Label strings appear only where a table becomes a dict in product order
 of the label lists, which is also the order ``StrategicFormGame`` keeps.
 """
@@ -338,12 +339,24 @@ def to_strategic_form(spec: QuantumGameSpec) -> StrategicFormGame:
 def _as_game(game) -> StrategicFormGame:
     if isinstance(game, StrategicFormGame):
         return game
-    if isinstance(game, QuantumGameSpec):
-        return to_strategic_form(game)
     if isinstance(game, Mapping):
         labels = _labels_from_table(game)
         return StrategicFormGame(labels, game)
     raise TypeError(f"expected a game, spec, or payoff table: {game!r}")
+
+
+def _scanned(game) -> tuple[list[Profile], np.ndarray]:
+    """Profiles in product order, and payoffs as (k_0..k_{N-1}, player).
+
+    A spec's payoffs come straight from ``_payoff_array``, with no
+    label-keyed table in between: the spec's own checks already
+    guarantee everything ``StrategicFormGame`` would check.
+    """
+    if isinstance(game, QuantumGameSpec):
+        labels = game.strategy_labels
+        return list(itertools.product(*labels)), _payoff_array(game, labels)
+    g = _as_game(game)
+    return list(g.payoffs), g._pay
 
 
 def _labels_from_table(table: Mapping[Profile, Sequence[float]]) \
@@ -374,14 +387,12 @@ def pure_nash(game, tol: float = NASH_TOL) -> list[Profile]:
     along that player's axis (NaN payoffs never count as a gain).
     """
     _check_tol(tol)
-    g = _as_game(game)
-    pay = g._pay
+    profiles, pay = _scanned(game)
     stable = np.ones(pay.shape[:-1], dtype=bool)
-    for i in range(g.players):
+    for i in range(pay.shape[-1]):
         mine = pay[..., i]
         best = np.fmax.reduce(mine, axis=i, keepdims=True)
         stable &= ~(best > mine + tol)
-    profiles = list(g.payoffs)
     return [profiles[k] for k in np.flatnonzero(stable)]
 
 
@@ -415,14 +426,13 @@ def pareto_optimal(game, tol: float = NASH_TOL) -> list[Profile]:
     and non-negative.  Profiles come in product order.
     """
     _check_tol(tol)
-    g = _as_game(game)
-    rows = g._pay.reshape(-1, g.players)
+    profiles, pay = _scanned(game)
+    rows = pay.reshape(-1, pay.shape[-1])
     # Rows with the highest sums dominate most others, so a pass against
     # them leaves few rows for the exact scan against every row.
     top = np.argsort(-rows.sum(axis=1), kind="stable")[:_FIRST_PASS]
     alive = np.flatnonzero(~_dominated(rows, rows[top], tol))
     alive = alive[~_dominated(rows[alive], rows, tol)]
-    profiles = list(g.payoffs)
     return [profiles[k] for k in alive]
 
 

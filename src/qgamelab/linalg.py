@@ -5,14 +5,23 @@ big-endian: the leftmost wire is the most significant digit of a basis
 index, matching ket-string notation (|01> is index 1 on two qubits).
 All operations are pure; nothing here mutates shared state.
 
-``apply_on_wires`` is the one place that knows this wire layout: every
-per-wire product in the package (EWL moves, per-wire measurement, Bell
-bras, spiders and kets) contracts its factors axis by axis through it,
-so no operator on the whole product space is built for them.
+This module is the one place that knows this wire layout, and nothing
+else builds an operator on a whole product space to apply a product:
+
+- ``apply_on_wires`` contracts one factor per axis: EWL moves, per-wire
+  measurement, Bell bras, spiders and kets.
+- ``apply_on_span`` and ``swap_on_span`` apply one factor to a run of
+  adjacent wires of a map's rows, so diagram evaluation streams each
+  ``Par`` stage of a ``Seq`` through the map built so far, one factor
+  at a time, with identity factors costing nothing.
+- ``tensor_in_place`` builds a Kronecker product in one zeroed
+  allocation and writes only its non-zero entries, so an identity
+  factor costs one diagonal write and no intermediate product.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -260,6 +269,70 @@ def apply_on_wires(ops, tensor: np.ndarray) -> np.ndarray:
     for op in ops:
         tensor = np.tensordot(tensor, op, axes=(0, 1))
     return tensor
+
+
+def apply_on_span(op: np.ndarray, matrix: np.ndarray, before) -> np.ndarray:
+    """``(I (x) op (x) I) @ matrix``, without building that operator.
+
+    The rows of ``matrix`` index its wires, big-endian.  ``op`` acts on
+    the wires that follow the ones whose dims are ``before``; the wires
+    after its span are left alone.  The span's axis is contracted in one
+    batched product, so the cost is the size of ``matrix`` times the
+    rows of ``op``.
+    """
+    block = matrix.reshape(math.prod(before), op.shape[1], -1)
+    return np.matmul(op, block).reshape(-1, matrix.shape[1])
+
+
+def swap_on_span(matrix: np.ndarray, before, dim: int) -> np.ndarray:
+    """Exchange the two dimension-``dim`` wires after ``before`` in the
+    rows of ``matrix``: an axis swap and one copy, no contraction."""
+    block = matrix.reshape(math.prod(before), dim, dim, -1)
+    return block.swapaxes(1, 2).reshape(matrix.shape)
+
+
+def tensor_in_place(factors) -> np.ndarray:
+    """Kronecker product of ``factors``; the first is the most significant.
+
+    A factor is a matrix, or an int n standing for the n x n identity.
+    The result is allocated once, zeroed, and only its non-zero entries
+    are written: 1 x 1 factors fold into one scalar, and each run of
+    identities is one axis of a strided view along its diagonal, so no
+    intermediate product is built.  The view has at most two axes per
+    factor, and a result that fits in memory has far fewer than 32
+    factors that are not 1 x 1, so numpy's 64-axis limit is never met.
+    """
+    scalar, blocks = 1, []      # blocks: identity sizes and matrices
+    for f in factors:
+        if isinstance(f, int):
+            if blocks and isinstance(blocks[-1], int):
+                blocks[-1] *= f
+            elif f > 1:
+                blocks.append(f)
+        elif f.shape == (1, 1):
+            scalar = scalar * f[0, 0]
+        else:
+            blocks.append(f)
+    rows = tuple(b if isinstance(b, int) else b.shape[0] for b in blocks)
+    cols = tuple(b if isinstance(b, int) else b.shape[1] for b in blocks)
+    out = np.zeros((math.prod(rows), math.prod(cols)), dtype=complex)
+    # Axes: every block's row digit, then each matrix's column digit; an
+    # identity's row axis also steps its column digit, along the diagonal.
+    step = out.reshape(rows + cols).strides
+    k = len(blocks)
+    dense = [j for j, b in enumerate(blocks) if not isinstance(b, int)]
+    view = np.lib.stride_tricks.as_strided(
+        out, rows + tuple(cols[j] for j in dense),
+        [step[j] + (0 if j in dense else step[k + j]) for j in range(k)]
+        + [step[k + j] for j in dense])
+    operands = [np.asarray(scalar, dtype=complex)]
+    for n, j in enumerate(dense):
+        shape = [1] * view.ndim
+        shape[j], shape[k + n] = blocks[j].shape
+        operands.append(blocks[j].reshape(shape))
+    *head, last = operands
+    np.multiply(functools.reduce(np.multiply, head, 1), last, out=view)
+    return out
 
 
 def identity(dims) -> LinearMap:

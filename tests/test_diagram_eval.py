@@ -26,6 +26,7 @@ from qgamelab.diagrams import (
     measure,
     parse,
     spider_map,
+    swap_map,
     validate_born_vector,
 )
 from qgamelab.errors import (
@@ -34,13 +35,22 @@ from qgamelab.errors import (
     ShapeMismatchError,
     UnboundBoxError,
 )
+from qgamelab.ewl import (
+    QuantumGameSpec,
+    ewl_entangler,
+    ewl_strategy_grid,
+    final_state,
+)
 from qgamelab.linalg import (
     HADAMARD,
     PAULI_X,
     LinearMap,
     StateVector,
+    dimension_limit,
     identity,
     ket,
+    outcome_labels,
+    set_dimension_limit,
 )
 
 Z = ObservableStructure.computational()
@@ -349,3 +359,197 @@ def test_validate_born_vector_rejects_non_finite_weights():
             validate_born_vector([bad, 0.5, 0.5, 0.0])
     with pytest.raises(NormalizationError, match="weight 3 is not finite"):
         validate_born_vector([0.5, 0.5, 0.0, math.nan])
+
+
+# ------------------------------------------------- the kron/compose oracle
+
+
+def _oracle_eval(term, obs, boxes=None) -> LinearMap:
+    """The evaluator before streaming: every Seq stage multiplied out as a
+    dense matrix and every Par built as a chain of Kronecker products."""
+    d = obs.dim
+    if isinstance(term, Id):
+        return identity((d,) * term.wires)
+    if isinstance(term, Spider):
+        return spider_map(obs, term.inputs, term.outputs, term.phase)
+    if isinstance(term, Cup):
+        return spider_map(obs, 0, 2)
+    if isinstance(term, Cap):
+        return spider_map(obs, 2, 0)
+    if isinstance(term, Swap):
+        return swap_map(d)
+    if isinstance(term, Box):
+        return boxes[term.name]
+    if isinstance(term, Ket):
+        return ket_map(obs, term.digits)
+    if isinstance(term, Seq):
+        acc = _oracle_eval(term.stages[0], obs, boxes)
+        for stage in term.stages[1:]:
+            acc = _oracle_eval(stage, obs, boxes) @ acc
+        return acc
+    if isinstance(term, Par):
+        acc = _oracle_eval(term.factors[0], obs, boxes)
+        for factor in term.factors[1:]:
+            acc = acc.tensor(_oracle_eval(factor, obs, boxes))
+        return acc
+    raise TypeError(f"not a diagram term: {term!r}")
+
+
+# Wires per side a random term may reach, per dimension.
+_MAX_WIRES = {1: 8, 2: 5, 3: 4}
+
+
+def _random_atom(rng, ins, d, boxes, phased):
+    """A random atom with ``ins`` <= 2 inputs, and its output count."""
+    outs = int(rng.integers(0, 3))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        phase = None
+        if phased and rng.random() < 0.7:
+            phase = PhaseElement((0.0,) + tuple(rng.uniform(-4, 4, d - 1)))
+        return Spider(ins, outs, phase), outs
+    if kind == 1:
+        # One entry of 1, i, -1 or -i per column: exact in the
+        # computational basis, and no growth to cancel out later
+        name = f"b{len(boxes)}"
+        rows, cols = d ** outs, d ** ins
+        arr = np.zeros((rows, cols), dtype=complex)
+        arr[rng.integers(rows, size=cols), np.arange(cols)] = \
+            np.array([1, 1j, -1, -1j])[rng.integers(4, size=cols)]
+        boxes[name] = LinearMap(arr, (d,) * ins, (d,) * outs)
+        return Box(name), outs
+    if ins == 0:
+        pick = int(rng.integers(3))
+        if pick == 0:
+            return Cup(), 2
+        if pick == 1:
+            digits = "".join(str(k) for k in rng.integers(0, d, size=outs + 1))
+            return Ket(digits), len(digits)
+        return Seq((Cup(), Cap())), 0
+    if ins == 2 and kind == 2:
+        return (Swap(), 2) if rng.random() < 0.5 else (Cap(), 0)
+    return Id(ins), ins
+
+
+def _random_stage(rng, ins, d, boxes, depth, phased):
+    """A Par over ``ins`` wires of atoms and nested terms."""
+    while True:
+        factors, outs, left = [], 0, ins
+        while left or not factors:
+            take = int(rng.integers(0, min(left, 2) + 1))
+            if depth and rng.random() < 0.2:
+                factor, made = _random_term(rng, take, d, boxes, phased,
+                                            depth - 1)
+            else:
+                factor, made = _random_atom(rng, take, d, boxes, phased)
+            factors.append(factor)
+            left, outs = left - take, outs + made
+        if outs <= _MAX_WIRES[d]:
+            return (factors[0] if len(factors) == 1 else Par(tuple(factors)),
+                    outs)
+
+
+def _random_term(rng, ins, d, boxes, phased, depth=2):
+    """A random Seq of 1-4 Par stages with ``ins`` inputs, and its output
+    count; factors nest further terms ``depth`` levels deep.  Unless
+    ``phased``, spiders carry no phase, so every entry of a computational
+    map is a Gaussian integer and exact in any summation order."""
+    stages, wires = [], ins
+    for _ in range(int(rng.integers(1, 5))):
+        stage, wires = _random_stage(rng, wires, d, boxes, depth, phased)
+        stages.append(stage)
+    return (stages[0] if len(stages) == 1 else Seq(tuple(stages))), wires
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluate_matches_the_kron_compose_oracle(d):
+    rng = np.random.default_rng(700 + d)
+    for trial in range(80):
+        boxes, phased = {}, trial % 2 == 1
+        term, _ = _random_term(rng, int(rng.integers(0, 4)), d, boxes,
+                               phased)
+        for obs, exact in ((ObservableStructure.computational(d), not phased),
+                           (ObservableStructure.fourier(d), False)):
+            got = evaluate(term, obs, boxes)
+            want = _oracle_eval(term, obs, boxes)
+            assert (got.in_dims, got.out_dims) == \
+                (want.in_dims, want.out_dims), term
+            scale = max(1.0, float(np.abs(want.array).max()))
+            assert got.allclose(want, tol=1e-12 * scale), term
+            if exact:
+                assert got == want, term
+
+
+def test_ewl_circuit_as_a_diagram_matches_final_state():
+    """The EWL protocol is the diagram ket ; J ; (U_A * U_B) ; J-dagger."""
+    rng = np.random.default_rng(2014)
+    grid = ewl_strategy_grid(4, 4)
+    outcomes = outcome_labels((2, 2))
+    coeffs = tuple(dict(zip(outcomes, rng.normal(size=4).tolist()))
+                   for _ in range(2))
+    for initial in ("00", "01", "11"):
+        spec = QuantumGameSpec(players=2, strategies=(grid, dict(grid)),
+                               payoff_coeffs=coeffs,
+                               entangler=ewl_entangler(2),
+                               initial_ket=initial)
+        term = parse(f"ket({initial}) ; box(J) ; box(A) * box(B) ; "
+                     f"box(Jdag)")
+        labels = list(grid)
+        for _ in range(12):
+            a, b = (labels[k] for k in rng.integers(len(labels), size=2))
+            boxes = {"J": spec.entangler, "Jdag": spec.entangler.dagger(),
+                     "A": spec.strategy(0, a), "B": spec.strategy(1, b)}
+            got = evaluate(term, Z, boxes).to_state()
+            assert got.allclose(final_state(spec, (a, b)), tol=1e-12)
+
+
+# ------------------------------------------------------ caps and memory
+
+
+def test_par_stages_shrink_before_they_grow():
+    """cup * cap * id(6) on 8 wires stays at 8 wires when the cap goes
+    first; the cup first would need 10 wires, over a cap of 256."""
+    term = parse("id(8) ; cup * cap * id(6)")
+    limit = dimension_limit()
+    try:
+        set_dimension_limit(256)
+        got = evaluate(term, Z)
+        want = _oracle_eval(term, Z)
+    finally:
+        set_dimension_limit(limit)
+    assert got == want
+
+
+def test_streamed_intermediates_are_checked_before_allocating():
+    # Streaming the two cups into the 512-column map would allocate 16 and
+    # then 64 MiB before the 13-wire result met the cap.
+    term = parse("id(9) ; cup * cup * id(9)")
+    limit = dimension_limit()
+    try:
+        set_dimension_limit(512)
+        tracemalloc.start()
+        with pytest.raises(DimensionLimitError):
+            evaluate(term, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        set_dimension_limit(limit)
+    assert peak < 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("source", [
+    "id(3) * spider(1,1,0.3) * id(3) * swap * id(2)",
+    "id(10) * spider(1,1,0.3)",
+])
+def test_lone_par_is_built_in_one_allocation(source):
+    # 11 wires at d = 2: the 2048 x 2048 result is 64 MiB, and a Kronecker
+    # chain would hold a 16 MiB identity next to it
+    result_bytes = 16 * 2 ** 22
+    tracemalloc.start()
+    try:
+        out = evaluate(parse(source), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.array.nbytes == result_bytes
+    assert peak < 1.25 * result_bytes

@@ -613,3 +613,25 @@ def test_quantize_names_the_first_profile_that_breaks_the_embedding():
     with pytest.raises(EmbeddingError, match=r"\('D', 'C'\) yields"):
         quantize(prisoners_dilemma(), embedding,
                  entangler=HADAMARD.tensor(BUILTIN_GATES["I"]))
+
+
+def test_spec_scans_read_the_payoff_array_directly(monkeypatch):
+    """pure_nash(spec) and pareto_optimal(spec) scan the contraction's
+    array, with no label-keyed table, and give the profiles the
+    to_strategic_form path gives, in the same order."""
+    rng = np.random.default_rng(33)
+    specs = [_random_grid_spec(rng) for _ in range(40)]
+    specs += [_unitary_spec(rng, 3, (4, 6), "12"),
+              _unitary_spec(rng, 2, (5,), "1"),
+              pd_quantum(("I", "X", "H", "Z"))]
+    games = [to_strategic_form(spec) for spec in specs]
+
+    def no_table(spec):
+        raise AssertionError("a spec scan built the label-keyed table")
+
+    monkeypatch.setattr(ewl, "payoff_table", no_table)
+    for spec, game in zip(specs, games):
+        for tol in (NASH_TOL, 0.0, 0.5):
+            assert pure_nash(spec, tol=tol) == pure_nash(game, tol=tol)
+            assert pareto_optimal(spec, tol=tol) == \
+                pareto_optimal(game, tol=tol)
