@@ -11,9 +11,13 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import sys
+
+import numpy as np
 
 from . import bayes, ewl, formats
 from .diagrams import ObservableStructure, evaluate, parse, pretty, typecheck
@@ -30,18 +34,16 @@ def _round12(x: float) -> float:
 
 def _json_ready(value):
     """Normalize a report for stable emission: 12 significant digits,
-    no negative zero, tuples down to lists."""
+    no negative zero."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
         return value
     if isinstance(value, float):
         return _round12(value)
-    if isinstance(value, complex):
-        return [_round12(value.real), _round12(value.imag)]
     if isinstance(value, dict):
         return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_json_ready(v) for v in value]
     raise TypeError(f"cannot emit {value!r}")
 
@@ -50,8 +52,56 @@ def _num(x: float) -> str:
     return f"{_round12(x):.12g}"
 
 
-def _complex_str(z: complex) -> str:
-    return f"{_round12(z.real):.12g}{_round12(z.imag):+.12g}i"
+def _distinct_text(values: np.ndarray, fmt) -> tuple[list[str], list]:
+    """``fmt(_round12(x))`` once for each distinct value of a matrix, and
+    the index of each entry's text, row by row."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = [fmt(_round12(x)) for x in distinct.tolist()]
+    return text, inverse.reshape(values.shape).tolist()
+
+
+def _complex_rows(array: np.ndarray, real_fmt, imag_fmt):
+    """Each row of a complex matrix as the text of its entries: the real
+    part through ``real_fmt`` then the imaginary part through
+    ``imag_fmt``, both rounded to 12 significant digits."""
+    real_text, real_rows = _distinct_text(array.real, real_fmt)
+    imag_text, imag_rows = _distinct_text(array.imag, imag_fmt)
+    for real_row, imag_row in zip(real_rows, imag_rows):
+        yield map(operator.add, map(real_text.__getitem__, real_row),
+                  map(imag_text.__getitem__, imag_row))
+
+
+def _table_cells(array: np.ndarray):
+    """Each row of a complex matrix as table cells such as ``0.5-1i``."""
+    return _complex_rows(array, "{:.12g}".format, "{:+.12g}i".format)
+
+
+def _matrix_json(array: np.ndarray) -> str:
+    """A complex matrix as ``json.dumps(indent=2)`` writes its rows of
+    [re, im] pairs as a value of the top-level object."""
+    rows = _complex_rows(array, "[\n        {!r},\n        ".format,
+                         "{!r}\n      ]".format)
+    return ("[\n    [\n      "
+            + "\n    ],\n    [\n      ".join(",\n      ".join(cells)
+                                             for cells in rows)
+            + "\n    ]\n  ]")
+
+
+def _json_text(report: dict) -> str:
+    """The report as ``json.dumps(_json_ready(report), indent=2,
+    sort_keys=True)`` writes it, except that an ndarray value is a complex
+    matrix, written straight from the array as rows of [re, im] pairs."""
+    fields = []
+    for key in sorted(report):
+        value = report[key]
+        if isinstance(value, np.ndarray):
+            text = _matrix_json(value)
+        else:
+            # a JSON string holds no raw newline: this indents layout only
+            text = json.dumps(_json_ready(value), indent=2,
+                              sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 # --- command handlers -----------------------------------------------------
@@ -122,9 +172,9 @@ def _cmd_ewl_state(args) -> tuple[dict, list[str]]:
         "payoffs": list(result.payoffs),
     }
     lines = [f"profile: {','.join(profile)}", "amplitudes:"]
-    for label, z in zip(outcome_labels(result.final_state.dims),
-                        result.final_state.amplitudes):
-        lines.append(f"  |{label}>  {_complex_str(z)}")
+    (cells,) = _table_cells(result.final_state.amplitudes[np.newaxis])
+    for label, cell in zip(outcome_labels(result.final_state.dims), cells):
+        lines.append(f"  |{label}>  {cell}")
     lines.append("distribution:")
     for label, p in result.outcome_distribution.items():
         lines.append(f"  {label}  {_num(p)}")
@@ -244,12 +294,14 @@ def _cmd_diagram_eval(args) -> tuple[dict, list[str]]:
         "observable": args.observable,
         "in_wires": in_wires,
         "out_wires": out_wires,
-        "matrix": [[[z.real, z.imag] for z in row] for row in result.array],
+        "matrix": result.array,
     }
+    if args.output == "json":
+        return report, []
     lines = [f"{report['pretty']}  ({in_wires} -> {out_wires} wires, "
              f"dim {args.dim})"]
-    for row in result.array:
-        lines.append("  [" + "  ".join(_complex_str(z) for z in row) + "]")
+    lines += ("  [" + "  ".join(cells) + "]"
+              for cells in _table_cells(result.array))
     return report, lines
 
 
@@ -343,9 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.  ``build_parser``
+    returns a fresh one each call, so no caller can change this one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, lines = args.handler(args)
     except _LIMIT_ERRORS as exc:
@@ -353,7 +411,7 @@ def main(argv=None) -> int:
     except (GameLabError, OSError, ValueError) as exc:
         return _emit_error(exc, args, status=1)
     if args.output == "json":
-        print(json.dumps(_json_ready(report), indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         print("\n".join(lines))
     return 0
@@ -363,5 +421,5 @@ def _emit_error(exc: Exception, args, status: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     if getattr(args, "output", "table") == "json":
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     return status

@@ -92,8 +92,10 @@ def matrix_to_json(gate: LinearMap) -> list[list[list[float]]]:
 def matrix_from_json(rows, where: str, in_dims=None,
                      out_dims=None) -> LinearMap:
     if not isinstance(rows, list) or not rows or \
-            not all(isinstance(r, list) for r in rows):
-        raise FormatError(f"{where}: expected a list of matrix rows")
+            not all(isinstance(r, list) and len(r) == len(rows[0])
+                    for r in rows):
+        raise FormatError(f"{where}: expected a list of equal-length "
+                          f"matrix rows")
     entries = [[complex_from_json(v, f"{where}[{i}][{j}]")
                 for j, v in enumerate(row)] for i, row in enumerate(rows)]
     try:

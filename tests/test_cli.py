@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgamelab import formats
+from qgamelab import cli, formats
 from qgamelab.bayes import (
     BayesianGame,
     ClassicalAdvice,
@@ -18,7 +18,8 @@ from qgamelab.bayes import (
     average_payoff,
 )
 from qgamelab.cli import main
-from qgamelab.errors import FormatError
+from qgamelab.diagrams import ObservableStructure, evaluate, parse, pretty
+from qgamelab.errors import FormatError, GameLabError
 from qgamelab.ewl import (
     QuantumGameSpec,
     ewl_entangler,
@@ -74,20 +75,20 @@ def test_complex_codec_round_trip():
         formats.complex_from_json([True, False], "here")
 
 
+def _dumps_loaded(kind, loaded) -> str:
+    return formats.dumps(loaded) if kind == "ewl" else formats.dumps(*loaded)
+
+
 def test_every_fixture_round_trips_to_identical_json():
-    for name in FIXTURES:
-        kind, loaded = formats.loads(formats.fixture_text(name))
-        if kind == "ewl":
-            text = formats.dumps(loaded)
-        else:
-            text = formats.dumps(loaded[0], loaded[1])
+    """Dump, load, dump is byte-identical for every fixture and for seeded
+    random EWL and Bayes specs."""
+    for source in list(FIXTURES) + _seeded_spec_texts(range(4)):
+        kind, loaded = formats.loads(formats.fixture_text(source)
+                                     if source in FIXTURES else source)
+        text = _dumps_loaded(kind, loaded)
         kind2, loaded2 = formats.loads(text)
         assert kind2 == kind
-        if kind == "ewl":
-            again = formats.dumps(loaded2)
-        else:
-            again = formats.dumps(loaded2[0], loaded2[1])
-        assert again == text, name
+        assert _dumps_loaded(kind2, loaded2) == text, source
 
 
 def test_ewl_fixture_semantics_survive_round_trip():
@@ -107,6 +108,55 @@ def test_bayes_fixture_semantics_survive_round_trip():
     assert advice is not None
     _, (game2, advice2) = formats.loads(formats.dumps(game, advice))
     assert average_payoff(game, advice) == average_payoff(game2, advice2)
+
+
+_MUTANTS = (None, True, 0, -1, 2.5, "", "x", "pi", [], [1.0], [[]],
+            [1.0, [1.0]], [[1.0, 0.0]], {}, {"x": 1})
+_DELETE = object()
+
+
+def _json_paths(doc, prefix=()):
+    """The path to every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, mutant):
+    """A copy of the document with the value at the path replaced by the
+    mutant, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutant is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutant
+    return doc
+
+
+def test_truncated_or_mutated_documents_fail_only_with_documented_errors():
+    """A truncated document is a FormatError; a mutated one loads or fails
+    with a GameLabError (a FormatError but for out-of-range counts, which
+    the game constructors reject), never a KeyError, TypeError or
+    IndexError."""
+    rng = np.random.default_rng(20260418)
+    texts = [formats.fixture_text(name) for name in FIXTURES]
+    for text in texts + _seeded_spec_texts([0]):
+        for cut in rng.choice(len(text.rstrip()), size=20, replace=False):
+            with pytest.raises(FormatError):
+                formats.loads(text[:cut])
+        doc = json.loads(text)
+        paths = list(_json_paths(doc))
+        for k in rng.choice(len(paths), size=12, replace=False):
+            for mutant in _MUTANTS + (_DELETE,):
+                try:
+                    formats.loads(json.dumps(_mutated(doc, paths[k], mutant)))
+                except GameLabError:
+                    pass
 
 
 def test_loads_rejects_bad_documents():
@@ -576,10 +626,10 @@ def test_cli_observable_dim_is_checked_before_allocating(capsys):
 GOLDEN_PATH = Path(__file__).with_name("golden_ewl_cli.json")
 
 
-def _seeded_ewl_text() -> str:
+def _seeded_ewl_text(seed: int = 20140613) -> str:
     """A 2-player spec over the 9 strategies of ewl_strategy_grid(3, 3),
     renamed g0..g8, with seeded coefficients and initial ket |01>."""
-    rng = np.random.default_rng(20140613)
+    rng = np.random.default_rng(seed)
     grid = {f"g{k}": gate
             for k, gate in enumerate(ewl_strategy_grid(3, 3).values())}
     coeffs = tuple({k: round(float(rng.normal()), 3)
@@ -639,10 +689,10 @@ def _seeded_prior_and_payoffs(rng, types, strategies):
     return prior, payoffs
 
 
-def _seeded_classical_bayes_text() -> str:
+def _seeded_classical_bayes_text(seed: int = 20130604) -> str:
     """3 players with 2, 3 and 2 types and 2, 2 and 3 strategies, and
     classical advice over three lambdas, the last of weight 0."""
-    rng = np.random.default_rng(20130604)
+    rng = np.random.default_rng(seed)
     types = (("a0", "a1"), ("b0", "b1", "b2"), ("c0", "c1"))
     strategies = (("0", "1"), ("u", "v"), ("p", "q", "r"))
     prior, payoffs = _seeded_prior_and_payoffs(rng, types, strategies)
@@ -664,10 +714,10 @@ def _seeded_classical_bayes_text() -> str:
     return formats.dumps(game, advice)
 
 
-def _seeded_qutrit_bayes_text() -> str:
+def _seeded_qutrit_bayes_text(seed: int = 20130605) -> str:
     """2 players with 2 types and 3 strategies each, a seeded entangled
     qutrit pair and a seeded unitary measurement basis per type."""
-    rng = np.random.default_rng(20130605)
+    rng = np.random.default_rng(seed)
     types = (("x", "y"), ("x", "y"))
     strategies = (("0", "1", "2"), ("0", "1", "2"))
     prior, payoffs = _seeded_prior_and_payoffs(rng, types, strategies)
@@ -684,6 +734,14 @@ def _seeded_qutrit_bayes_text() -> str:
         measurements.append(table)
     advice = QuantumAdvice(types, strategies, state, tuple(measurements))
     return formats.dumps(game, advice)
+
+
+def _seeded_spec_texts(seeds) -> list[str]:
+    """One seeded spec of each generated kind per seed: EWL, Bayes with
+    classical advice and Bayes with quantum qutrit advice."""
+    return [make(seed) for seed in seeds for make in (
+        _seeded_ewl_text, _seeded_classical_bayes_text,
+        _seeded_qutrit_bayes_text)]
 
 
 def _golden_bayes_commands(tmp_path) -> dict[str, list[str]]:
@@ -792,3 +850,112 @@ def test_cli_diagram_output_matches_golden(capsys):
         # a residue may flip between -0 and 0 or gain digits, nothing else
         assert got_text.replace("-#", "#").replace("+#", "#") == \
             want_text.replace("-#", "#").replace("+#", "#"), key
+
+
+# ------------------------------------------- the emitter against its oracle
+
+def _oracle_round12(x: float) -> float:
+    out = float(f"{float(x):.12g}")
+    return 0.0 if out == 0.0 else out
+
+
+def _oracle_json_ready(value):
+    """The report normalizer from before matrices were written straight
+    from the array, complex branch included."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        return _oracle_round12(value)
+    if isinstance(value, complex):
+        return [_oracle_round12(value.real), _oracle_round12(value.imag)]
+    if isinstance(value, dict):
+        return {str(k): _oracle_json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_oracle_json_ready(v) for v in value]
+    raise TypeError(f"cannot emit {value!r}")
+
+
+def _oracle_json(report: dict) -> str:
+    """The old JSON path: each matrix as nested lists of complex entries,
+    normalized, then the stdlib encoder."""
+    nested = {key: value.tolist() if isinstance(value, np.ndarray) else value
+              for key, value in report.items()}
+    return json.dumps(_oracle_json_ready(nested), indent=2, sort_keys=True)
+
+
+def _oracle_table_rows(array: np.ndarray) -> list[str]:
+    """The old diagram-eval table body: one format call per entry."""
+    def complex_str(z):
+        return (f"{_oracle_round12(z.real):.12g}"
+                f"{_oracle_round12(z.imag):+.12g}i")
+    return ["  [" + "  ".join(complex_str(z) for z in row) + "]"
+            for row in array]
+
+
+# -0.0, +-1e-17, 12-digit rounding boundaries (some that carry into a new
+# leading digit), every repr style and exponents near +-300.
+_AWKWARD_PARTS = (0.0, -0.0, 1e-17, -1e-17, 0.1234567890125,
+                  -0.1234567890125, 0.12345678901249999, 9.9999999999995,
+                  0.99999999999995, 1.5e-05, 123456789012345.0, 1e16,
+                  1e300, -1e-300, 2.5e-300, 1.0, -1.0, 0.5)
+
+
+def _awkward_matrix(rng, shape: tuple[int, int], repeated: bool):
+    """A seeded complex matrix of dense random parts over 600 decades, a
+    third of them replaced by awkward values; with `repeated`, every entry
+    is one of eight."""
+    if repeated:
+        pool = np.empty(8, dtype=complex)
+        pool.real = rng.choice(_AWKWARD_PARTS, 8)
+        pool.imag = rng.choice(_AWKWARD_PARTS, 8)
+        return rng.choice(pool, size=shape)
+    parts = rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(
+        -300, 300, size=(2,) + shape)
+    awkward = rng.random(parts.shape) < 1 / 3
+    parts[awkward] = rng.choice(_AWKWARD_PARTS, int(awkward.sum()))
+    array = np.empty(shape, dtype=complex)
+    array.real, array.imag = parts
+    return array
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (81, 81),
+                                   (256, 256)])
+def test_emitter_matches_the_old_path_byte_for_byte(shape):
+    rng = np.random.default_rng(shape)
+    for repeated in (False, True):
+        array = _awkward_matrix(rng, shape, repeated)
+        report = {"pretty": "id(1)\n\"\u00e9\"", "dim": 3, "in_wires": 0,
+                  "nested": {"b": [0.5, -0.0, 1e-17], "a": {"y": True,
+                                                          "x": None}},
+                  "matrix": array}
+        assert cli._json_text(report) == _oracle_json(report)
+        rows = ["  [" + "  ".join(cells) + "]"
+                for cells in cli._table_cells(array)]
+        assert rows == _oracle_table_rows(array)
+
+
+def test_cli_diagram_eval_matches_the_old_path_on_eight_wires(capsys):
+    """An 8-wire diagram-eval through main, in both output modes."""
+    rng = np.random.default_rng(20260418)
+    phases = rng.uniform(-math.pi, math.pi, 8).round(6)
+    source = (" * ".join(f"spider(1,1,{p!r})" for p in phases.tolist())
+              + " ; " + " * ".join(["spider(2,2)"] * 4)
+              + " ; id(1) * swap * swap * swap * id(1)")
+    term = parse(source)
+    array = evaluate(term, ObservableStructure.fourier(2)).array
+    report = {"pretty": pretty(term), "dim": 2, "observable": "fourier",
+              "in_wires": 8, "out_wires": 8, "matrix": array}
+    argv = ["diagram-eval", source, "--observable", "fourier"]
+    assert _run(capsys, argv + ["--output", "json"]) == \
+        (0, _oracle_json(report) + "\n", "")
+    header = f"{pretty(term)}  (8 -> 8 wires, dim 2)"
+    assert _run(capsys, argv) == \
+        (0, "\n".join([header] + _oracle_table_rows(array)) + "\n", "")
+
+
+def test_main_builds_its_parser_once_and_apart_from_build_parser():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()

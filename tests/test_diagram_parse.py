@@ -2,6 +2,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from qgamelab.diagrams import (
@@ -127,6 +128,42 @@ def test_pretty_round_trips():
     for text in samples:
         term = parse(text)
         assert parse(pretty(term)) == term, text
+
+
+_AWKWARD_PHASES = (0.0, -0.0, 1e-17, 1e-300, math.pi, -math.pi / 2,
+                   2 * math.pi, 1e6 + 0.1)
+
+
+def _random_term(rng, depth: int):
+    """A seeded random term over every atom with concrete syntax, with Seq
+    and Par of two or three parts nested down to `depth` levels."""
+    kind = int(rng.integers(9 if depth > 0 else 7))
+    if kind == 0:
+        return Id(int(rng.integers(4)))
+    if kind == 1:
+        phase = None
+        if rng.random() < 0.3:
+            phase = PhaseElement.qubit(float(rng.choice(_AWKWARD_PHASES)))
+        elif rng.random() < 0.7:
+            phase = PhaseElement.qubit(float(rng.uniform(-10.0, 10.0)))
+        return Spider(int(rng.integers(4)), int(rng.integers(4)), phase)
+    if kind in (2, 3, 4):
+        return (Cup(), Cap(), Swap())[kind - 2]
+    if kind == 5:
+        return Box(str(rng.choice(["U", "f_1", "pi", "id", "Box9"])))
+    if kind == 6:
+        return Ket("".join(rng.choice(list("0129"),
+                                      size=int(rng.integers(1, 4)))))
+    parts = tuple(_random_term(rng, depth - 1)
+                  for _ in range(int(rng.integers(2, 4))))
+    return Seq(parts) if kind == 7 else Par(parts)
+
+
+def test_pretty_round_trips_random_terms():
+    rng = np.random.default_rng(20110415)
+    for _ in range(300):
+        term = _random_term(rng, 4)
+        assert parse(pretty(term)) == term, pretty(term)
 
 
 def test_pretty_qudit_phase_has_no_syntax():
