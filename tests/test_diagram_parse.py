@@ -310,3 +310,311 @@ def test_parse_errors_report_line_and_column_from_the_offset():
     with pytest.raises(DiagramSyntaxError) as info:
         parse("id(1)\n# trailing comment\n ;")
     assert (info.value.line, info.value.column) == (3, 3)
+
+
+# ------------------------------------- the keyword-per-branch parser oracle
+
+
+class _OracleParser:
+    """The parser with one hand-written branch per atom keyword, from
+    before the atoms' syntax moved into one table."""
+
+    _ATOM_STARTERS = ("id", "spider", "cup", "cap", "swap", "box", "ket",
+                      "(")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, expected):
+        tok = self.peek()
+        got = "end of input" if tok.kind == "eof" else repr(tok.text)
+        raise DiagramSyntaxError(
+            f"unexpected {got}, expected one of: "
+            f"{', '.join(sorted(expected))}",
+            *_position(self.text, tok.offset), expected)
+
+    def expect_punct(self, text: str):
+        tok = self.peek()
+        if tok.kind != "punct" or tok.text != text:
+            self.fail((text,))
+        return self.advance()
+
+    def at_punct(self, text: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "punct" and tok.text == text
+
+    def parse_diagram(self):
+        stages = [self.parse_par()]
+        while self.at_punct(";"):
+            self.advance()
+            stages.append(self.parse_par())
+        return stages[0] if len(stages) == 1 else Seq(tuple(stages))
+
+    def parse_par(self):
+        factors = [self.parse_atom()]
+        while self.at_punct("*"):
+            self.advance()
+            factors.append(self.parse_atom())
+        return factors[0] if len(factors) == 1 else Par(tuple(factors))
+
+    def parse_atom(self):
+        tok = self.peek()
+        if self.at_punct("("):
+            if self.depth == MAX_NESTING:
+                raise DiagramSyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels",
+                    *_position(self.text, tok.offset))
+            self.depth += 1
+            self.advance()
+            inner = self.parse_diagram()
+            self.expect_punct(")")
+            self.depth -= 1
+            return inner
+        if tok.kind != "ident":
+            self.fail(self._ATOM_STARTERS)
+        if tok.text == "id":
+            self.advance()
+            self.expect_punct("(")
+            wires = self.parse_nat()
+            self.expect_punct(")")
+            return Id(wires)
+        if tok.text == "spider":
+            self.advance()
+            self.expect_punct("(")
+            inputs = self.parse_nat()
+            self.expect_punct(",")
+            outputs = self.parse_nat()
+            phase = None
+            if self.at_punct(","):
+                self.advance()
+                phase = PhaseElement.qubit(self.parse_phase())
+            self.expect_punct(")")
+            return Spider(inputs, outputs, phase)
+        if tok.text == "cup":
+            self.advance()
+            return Cup()
+        if tok.text == "cap":
+            self.advance()
+            return Cap()
+        if tok.text == "swap":
+            self.advance()
+            return Swap()
+        if tok.text == "box":
+            self.advance()
+            self.expect_punct("(")
+            name = self.peek()
+            if name.kind != "ident":
+                self.fail(("box name",))
+            self.advance()
+            self.expect_punct(")")
+            return Box(name.text)
+        if tok.text == "ket":
+            self.advance()
+            self.expect_punct("(")
+            digits = self.peek()
+            if digits.kind != "number" or not digits.text.isdigit():
+                self.fail(("digit string",))
+            self.advance()
+            self.expect_punct(")")
+            return Ket(digits.text)
+        self.fail(self._ATOM_STARTERS)
+
+    def parse_nat(self) -> int:
+        tok = self.peek()
+        if tok.kind != "number" or not tok.text.isdigit():
+            self.fail(("natural number",))
+        self.advance()
+        return int(tok.text)
+
+    def parse_phase(self) -> float:
+        sign = 1.0
+        if self.at_punct("-"):
+            self.advance()
+            sign = -1.0
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text == "pi":
+            self.advance()
+            return sign * math.pi
+        if tok.kind == "number":
+            self.advance()
+            value = float(tok.text)
+            nxt = self.peek()
+            if nxt.kind == "ident" and nxt.text == "pi":
+                self.advance()
+                value *= math.pi
+            return sign * value
+        self.fail(("real number", "pi"))
+
+
+def _oracle_parse(text: str):
+    parser = _OracleParser(text)
+    term = parser.parse_diagram()
+    if parser.peek().kind != "eof":
+        parser.fail((";", "*", "end of input"))
+    return term
+
+
+def _oracle_pretty(term) -> str:
+    return _oracle_render_seq(term)
+
+
+def _oracle_render_seq(term) -> str:
+    if isinstance(term, Seq):
+        return " ; ".join(_oracle_render_par(s) for s in term.stages)
+    return _oracle_render_par(term)
+
+
+def _oracle_render_par(term) -> str:
+    if isinstance(term, Seq):
+        return f"({_oracle_render_seq(term)})"
+    if isinstance(term, Par):
+        return " * ".join(_oracle_render_atom(f) for f in term.factors)
+    return _oracle_render_atom(term)
+
+
+def _oracle_render_atom(term) -> str:
+    if isinstance(term, (Seq, Par)):
+        return f"({_oracle_render_seq(term)})"
+    if isinstance(term, Id):
+        return f"id({term.wires})"
+    if isinstance(term, Spider):
+        if term.phase is None:
+            return f"spider({term.inputs},{term.outputs})"
+        if term.phase.dim != 2:
+            raise ValueError(
+                f"phase over {term.phase.dim} points has no concrete syntax")
+        return f"spider({term.inputs},{term.outputs},{term.phase.phases[1]!r})"
+    if isinstance(term, Cup):
+        return "cup"
+    if isinstance(term, Cap):
+        return "cap"
+    if isinstance(term, Swap):
+        return "swap"
+    if isinstance(term, Box):
+        return f"box({term.name})"
+    if isinstance(term, Ket):
+        return f"ket({term.digits})"
+    raise TypeError(f"not a diagram term: {term!r}")
+
+
+def _outcome(parse_fn, text):
+    """What parsing ``text`` gives: the AST, or every observable part of
+    the error it raises."""
+    try:
+        return ("ast", parse_fn(text))
+    except DiagramSyntaxError as err:
+        return ("syntax", str(err), err.line, err.column, err.expected)
+    except Exception as err:  # any other error must match too
+        return (type(err).__name__, str(err))
+
+
+_SOUP = ["id", "spider", "cup", "cap", "swap", "box", "ket", "pi", "U",
+         "x_1", "0", "1", "2", "10", "007", "0.5", "1e3", ".5", "(", "(",
+         ")", ")", ",", ",", ";", "*", "-", " ", " ", "# note\n", "\n",
+         "@", "id", "(", ",", "pi", "1"]
+
+_PHASES = ["pi", "-pi", "0.5pi", "- 0.25 pi", "1.25", "-3", ".5", "1e-3",
+           "2.5e+2pi", "0", "7."]
+
+_MUTATION_CHARS = "(),;*-.0123456789acdeiknoprswux_ #\n@"
+
+
+def _gap(rng) -> str:
+    return rng.choice(["", "", "", " ", "  ", "\n", "\t", " # c\n"])
+
+
+def _random_atom(rng) -> list[str]:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return ["id", "(", str(rng.randrange(4)), ")"]
+    if kind == 1:
+        args = [str(rng.randrange(4)), ",", str(rng.randrange(4))]
+        if rng.random() < 0.5:
+            args += [",", rng.choice(_PHASES)]
+        return ["spider", "(", *args, ")"]
+    if kind == 2:
+        return [rng.choice(["cup", "cap", "swap"])]
+    if kind == 3:
+        return ["box", "(", rng.choice(["U", "f_1", "pi", "id", "_x"]), ")"]
+    if kind == 4:
+        return ["ket", "(", rng.choice(["0", "01", "007", "9"]), ")"]
+    return ["(", *_random_atom(rng), ")"]
+
+
+def _random_source_tokens(rng, depth: int) -> list[str]:
+    """The tokens of a seeded valid diagram: atoms joined by ";" and "*",
+    some groups parenthesised, nested down to ``depth`` levels."""
+    if depth == 0 or rng.random() < 0.4:
+        return _random_atom(rng)
+    sep = rng.choice([";", "*"])
+    out = _random_source_tokens(rng, depth - 1)
+    for _ in range(rng.randrange(1, 3)):
+        out += [sep, *_random_source_tokens(rng, depth - 1)]
+    return ["(", *out, ")"] if rng.random() < 0.6 else out
+
+
+def _mutate(rng, text: str) -> str:
+    pos = rng.randrange(len(text) + 1)
+    op = rng.randrange(3)
+    if op == 0 or pos == len(text):
+        return text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos:]
+    if op == 1:
+        return text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos + 1:]
+    return text[:pos] + text[pos + 1:]
+
+
+def test_table_driven_parser_matches_the_keyword_parser():
+    rng = random.Random(20110043016)
+    kinds = {}
+    expected_seen = set()
+    for trial in range(20000):
+        if trial % 2:
+            # token soup, often after the start of an atom
+            head = _random_atom(rng)
+            head = head[:rng.randrange(len(head) + 1)]
+            text = "".join(head + [rng.choice(_SOUP)
+                                   for _ in range(rng.randrange(0, 25))])
+        else:
+            tokens = _random_source_tokens(rng, 3)
+            text = _gap(rng) + "".join(t + _gap(rng) for t in tokens)
+            if rng.randrange(7) == 0:
+                text = _mutate(rng, text)
+        want = _outcome(_oracle_parse, text)
+        assert _outcome(parse, text) == want, text
+        kinds[want[0]] = kinds.get(want[0], 0) + 1
+        if want[0] == "syntax":
+            expected_seen.add(want[4])
+    assert kinds["ast"] > 8000 and kinds["syntax"] > 5000, kinds
+    for labels in [("natural number",), ("digit string",), ("box name",),
+                   ("pi", "real number"), (",",), (")",), ("(",),
+                   ("*", ";", "end of input"),
+                   tuple(sorted(_OracleParser._ATOM_STARTERS))]:
+        assert labels in expected_seen, labels
+
+
+def test_table_driven_pretty_matches_the_keyword_renderer():
+    rng = np.random.default_rng(1043016)
+    for _ in range(2000):
+        term = _random_term(rng, 4)
+        assert pretty(term) == _oracle_pretty(term)
+    qudit = Spider(1, 1, PhaseElement((0.0, 1.0, 2.0)))
+    for bad, error in [(qudit, ValueError), (Par((Cup(), qudit)), ValueError),
+                       (Seq((Id(1), qudit)), ValueError), (3, TypeError),
+                       ("cup", TypeError), (None, TypeError),
+                       (Par((Swap(), "id(1)")), TypeError)]:
+        with pytest.raises(error) as want:
+            _oracle_pretty(bad)
+        with pytest.raises(error) as got:
+            pretty(bad)
+        assert str(got.value) == str(want.value)
