@@ -10,6 +10,9 @@ Grammar (whitespace-insensitive, ``#`` comments to end of line):
              | "box" "(" ident ")" | "ket" "(" digits ")"
              | "(" diagram ")"
     phase   := ["-"] (real ["pi"] | "pi")     in radians
+
+The atom rules come from ``ATOM_SYNTAX`` in ``terms.py``, the one place
+that lists each atom's keyword and arguments; ``pretty()`` reads it too.
 """
 
 from __future__ import annotations
@@ -20,18 +23,7 @@ from typing import NamedTuple
 
 from ..errors import DiagramSyntaxError
 from .observables import PhaseElement
-from .terms import (
-    Box,
-    Cap,
-    Cup,
-    DiagramTerm,
-    Id,
-    Ket,
-    Par,
-    Seq,
-    Spider,
-    Swap,
-)
+from .terms import ATOM_SYNTAX, DiagramTerm, Par, Seq
 
 _TOKEN_RE = re.compile(r"""
     (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
@@ -41,7 +33,14 @@ _TOKEN_RE = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
-_ATOM_STARTERS = ("id", "spider", "cup", "cap", "swap", "box", "ket", "(")
+_ATOM_STARTERS = (*ATOM_SYNTAX, "(")
+
+# Each argument kind of ATOM_SYNTAX except "phase": how an error names
+# it, and the test its token's text must pass.  Only number tokens are
+# all digits, and only identifier tokens are identifiers.
+_ARGUMENTS = {"nat": ("natural number", str.isdigit),
+              "digits": ("digit string", str.isdigit),
+              "name": ("box name", str.isidentifier)}
 
 # Parentheses may nest this deep.  Parsing takes three stack frames per
 # level and pretty() up to three, so the recursive walks over the AST
@@ -80,130 +79,86 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected: tuple[str, ...]) -> DiagramSyntaxError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         got = "end of input" if tok.kind == "eof" else repr(tok.text)
         raise DiagramSyntaxError(
             f"unexpected {got}, expected one of: "
             f"{', '.join(sorted(expected))}",
             *_position(self.text, tok.offset), expected)
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            self.fail((text,))
-        return self.advance()
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``, a punctuation
+        character or "pi": no token of another kind has such a text."""
+        if self.tokens[self.pos].text != text:
+            return False
+        self.pos += 1
+        return True
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    def expect(self, punct: str) -> None:
+        if not self.accept(punct):
+            self.fail((punct,))
 
     def parse_diagram(self) -> DiagramTerm:
         stages = [self.parse_par()]
-        while self.at_punct(";"):
-            self.advance()
+        while self.accept(";"):
             stages.append(self.parse_par())
         return stages[0] if len(stages) == 1 else Seq(tuple(stages))
 
     def parse_par(self) -> DiagramTerm:
         factors = [self.parse_atom()]
-        while self.at_punct("*"):
-            self.advance()
+        while self.accept("*"):
             factors.append(self.parse_atom())
         return factors[0] if len(factors) == 1 else Par(tuple(factors))
 
     def parse_atom(self) -> DiagramTerm:
-        tok = self.peek()
-        if self.at_punct("("):
+        tok = self.tokens[self.pos]
+        if self.accept("("):
             if self.depth == MAX_NESTING:
                 raise DiagramSyntaxError(
                     f"parentheses nest deeper than {MAX_NESTING} levels",
                     *_position(self.text, tok.offset))
             self.depth += 1
-            self.advance()
             inner = self.parse_diagram()
-            self.expect_punct(")")
+            self.expect(")")
             self.depth -= 1
             return inner
-        if tok.kind != "ident":
+        if tok.kind != "ident" or tok.text not in ATOM_SYNTAX:
             self.fail(_ATOM_STARTERS)
-        if tok.text == "id":
-            self.advance()
-            self.expect_punct("(")
-            wires = self.parse_nat()
-            self.expect_punct(")")
-            return Id(wires)
-        if tok.text == "spider":
-            self.advance()
-            self.expect_punct("(")
-            inputs = self.parse_nat()
-            self.expect_punct(",")
-            outputs = self.parse_nat()
-            phase = None
-            if self.at_punct(","):
-                self.advance()
-                phase = PhaseElement.qubit(self.parse_phase())
-            self.expect_punct(")")
-            return Spider(inputs, outputs, phase)
-        if tok.text == "cup":
-            self.advance()
-            return Cup()
-        if tok.text == "cap":
-            self.advance()
-            return Cap()
-        if tok.text == "swap":
-            self.advance()
-            return Swap()
-        if tok.text == "box":
-            self.advance()
-            self.expect_punct("(")
-            name = self.peek()
-            if name.kind != "ident":
-                self.fail(("box name",))
-            self.advance()
-            self.expect_punct(")")
-            return Box(name.text)
-        if tok.text == "ket":
-            self.advance()
-            self.expect_punct("(")
-            digits = self.peek()
-            if digits.kind != "number" or not digits.text.isdigit():
-                self.fail(("digit string",))
-            self.advance()
-            self.expect_punct(")")
-            return Ket(digits.text)
-        self.fail(_ATOM_STARTERS)
+        self.pos += 1
+        cls, kinds = ATOM_SYNTAX[tok.text]
+        if not kinds:
+            return cls()
+        self.expect("(")
+        args = []
+        for i, kind in enumerate(kinds):
+            if kind == "phase":
+                if self.accept(","):
+                    args.append(PhaseElement.qubit(self.parse_phase()))
+                break
+            if i:
+                self.expect(",")
+            args.append(self.parse_argument(kind))
+        self.expect(")")
+        return cls(*args)
 
-    def parse_nat(self) -> int:
-        tok = self.peek()
-        if tok.kind != "number" or not tok.text.isdigit():
-            self.fail(("natural number",))
-        self.advance()
-        return int(tok.text)
+    def parse_argument(self, kind: str) -> int | str:
+        text = self.tokens[self.pos].text
+        label, valid = _ARGUMENTS[kind]
+        if not valid(text):
+            self.fail((label,))
+        self.pos += 1
+        return int(text) if kind == "nat" else text
 
     def parse_phase(self) -> float:
-        sign = 1.0
-        if self.at_punct("-"):
-            self.advance()
-            sign = -1.0
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "pi":
-            self.advance()
+        sign = -1.0 if self.accept("-") else 1.0
+        if self.accept("pi"):
             return sign * math.pi
+        tok = self.tokens[self.pos]
         if tok.kind == "number":
-            self.advance()
+            self.pos += 1
             value = float(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "ident" and nxt.text == "pi":
-                self.advance()
+            if self.accept("pi"):
                 value *= math.pi
             return sign * value
         self.fail(("real number", "pi"))
@@ -216,6 +171,6 @@ def parse(text: str) -> DiagramTerm:
     """
     parser = _Parser(text)
     term = parser.parse_diagram()
-    if parser.peek().kind != "eof":
+    if parser.tokens[parser.pos].kind != "eof":
         parser.fail((";", "*", "end of input"))
     return term

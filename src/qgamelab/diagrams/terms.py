@@ -88,6 +88,21 @@ class Par:
 
 DiagramTerm = Union[Id, Spider, Cup, Cap, Swap, Box, Ket, Seq, Par]
 
+# The concrete syntax of every atom, read by both the parser and pretty():
+# keyword -> (term class, kinds of its arguments, in field order).  An
+# argument is a "nat" (natural number), a "name" (identifier), "digits"
+# (a digit string) or a "phase", the optional last ", phase" in radians.
+ATOM_SYNTAX = {
+    "id": (Id, ("nat",)),
+    "spider": (Spider, ("nat", "nat", "phase")),
+    "cup": (Cup, ()),
+    "cap": (Cap, ()),
+    "swap": (Swap, ()),
+    "box": (Box, ("name",)),
+    "ket": (Ket, ("digits",)),
+}
+_KEYWORDS = {cls: keyword for keyword, (cls, _) in ATOM_SYNTAX.items()}
+
 BoxSignatures = Mapping[str, object]
 
 
@@ -161,8 +176,6 @@ def _render_seq(term: DiagramTerm) -> str:
 
 
 def _render_par(term: DiagramTerm) -> str:
-    if isinstance(term, Seq):
-        return f"({_render_seq(term)})"
     if isinstance(term, Par):
         return " * ".join(_render_atom(f) for f in term.factors)
     return _render_atom(term)
@@ -171,23 +184,16 @@ def _render_par(term: DiagramTerm) -> str:
 def _render_atom(term: DiagramTerm) -> str:
     if isinstance(term, (Seq, Par)):
         return f"({_render_seq(term)})"
-    if isinstance(term, Id):
-        return f"id({term.wires})"
+    keyword = _KEYWORDS.get(type(term))
+    if keyword is None:
+        raise TypeError(f"not a diagram term: {term!r}")
     if isinstance(term, Spider):
-        if term.phase is None:
-            return f"spider({term.inputs},{term.outputs})"
-        if term.phase.dim != 2:
-            raise ValueError(
-                f"phase over {term.phase.dim} points has no concrete syntax")
-        return f"spider({term.inputs},{term.outputs},{term.phase.phases[1]!r})"
-    if isinstance(term, Cup):
-        return "cup"
-    if isinstance(term, Cap):
-        return "cap"
-    if isinstance(term, Swap):
-        return "swap"
-    if isinstance(term, Box):
-        return f"box({term.name})"
-    if isinstance(term, Ket):
-        return f"ket({term.digits})"
-    raise TypeError(f"not a diagram term: {term!r}")
+        phase = ""
+        if term.phase is not None:
+            if term.phase.dim != 2:
+                raise ValueError(f"phase over {term.phase.dim} points has "
+                                 f"no concrete syntax")
+            phase = f",{term.phase.phases[1]!r}"
+        return f"{keyword}({term.inputs},{term.outputs}{phase})"
+    values = vars(term).values()
+    return f"{keyword}({','.join(map(str, values))})" if values else keyword
