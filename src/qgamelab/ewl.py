@@ -39,6 +39,7 @@ from .linalg import (
     StateVector,
     apply_on_wires,
     born_probabilities,
+    check_dims,
     from_matrix,
     ket,
     outcome_labels,
@@ -231,11 +232,11 @@ def ewl_entangler(n_players: int, dim: int = 2) -> LinearMap:
             f"dimension {dim}")
     if n_players < 2:
         raise DomainMismatchError("the entangler couples at least 2 players")
+    dims = check_dims((2,) * n_players, "entangler dims")
     size = 2 ** n_players
     arr = np.identity(size, dtype=complex)
     arr += 1j * np.flip(np.identity(size, dtype=complex), axis=1)
     arr /= math.sqrt(2)
-    dims = (2,) * n_players
     return LinearMap(arr, dims, dims)
 
 

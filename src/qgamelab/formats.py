@@ -26,7 +26,12 @@ from .bayes import (
     QuantumAdvice,
     phase_basis,
 )
-from .errors import FormatError, GameLabError
+from .errors import (
+    DomainMismatchError,
+    FormatError,
+    GameLabError,
+    UnsupportedDimensionError,
+)
 from .ewl import QuantumGameSpec, ewl_entangler
 from .linalg import BUILTIN_GATES, LinearMap, StateVector, from_matrix
 
@@ -135,9 +140,10 @@ def _check_keys(doc: Mapping, allowed: set[str], where: str) -> None:
         raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{where}: expected an integer, got {value!r}")
+def _int(value, where: str, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise FormatError(
+            f"{where}: expected an integer >= {low}, got {value!r}")
     return value
 
 
@@ -187,13 +193,16 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
     _check_keys(doc, _EWL_KEYS, "ewl spec")
     if doc.get("kind", "ewl") != "ewl":
         raise FormatError(f"ewl spec: kind is {doc.get('kind')!r}")
-    players = _int(_require(doc, "players", "ewl spec"), "players")
-    dim = _int(doc.get("dim", 2), "dim")
+    players = _int(_require(doc, "players", "ewl spec"), "players", 1)
+    dim = _int(doc.get("dim", 2), "dim", 2)
     wire_dims = (dim,) * players
 
     raw_ent = _require(doc, "entangler", "ewl spec")
     if raw_ent == "ewl":
-        entangler = ewl_entangler(players, dim)
+        try:
+            entangler = ewl_entangler(players, dim)
+        except (DomainMismatchError, UnsupportedDimensionError) as exc:
+            raise FormatError(f"entangler: {exc}") from exc
     elif isinstance(raw_ent, Mapping):
         _check_keys(raw_ent, {"matrix"}, "entangler")
         entangler = matrix_from_json(_require(raw_ent, "matrix",
@@ -302,7 +311,7 @@ def bayes_from_json(doc: Mapping) \
     _check_keys(doc, _BAYES_KEYS, "bayes spec")
     if doc.get("kind", "bayes") != "bayes":
         raise FormatError(f"bayes spec: kind is {doc.get('kind')!r}")
-    players = _int(_require(doc, "players", "bayes spec"), "players")
+    players = _int(_require(doc, "players", "bayes spec"), "players", 1)
     types = _label_lists(_require(doc, "types", "bayes spec"), players,
                          "types")
     strategies = _label_lists(_require(doc, "strategies", "bayes spec"),
@@ -405,7 +414,7 @@ def _quantum_advice_from_json(doc: Mapping,
         raw_dims = doc["dims"]
         if not isinstance(raw_dims, list) or len(raw_dims) != n:
             raise FormatError(f"advice.dims: expected {n} wire sizes")
-        dims = tuple(_int(d, "advice.dims") for d in raw_dims)
+        dims = tuple(_int(d, "advice.dims", 1) for d in raw_dims)
     else:
         size = len(raw_state) if isinstance(raw_state, list) else 0
         d = round(size ** (1 / n)) if size else 0

@@ -26,7 +26,11 @@ from qgamelab.ewl import (
     ewl_strategy_grid,
     payoff_table,
 )
-from qgamelab.linalg import StateVector
+from qgamelab.linalg import (
+    StateVector,
+    dimension_limit,
+    set_dimension_limit,
+)
 
 FIXTURES = formats.FIXTURE_NAMES
 
@@ -549,6 +553,52 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
     path.write_text(huge, encoding="utf-8")
     assert _json_error(capsys, ["bell-bound", str(path)])["type"] == \
         "FormatError"
+
+
+def test_out_of_range_counts_in_a_spec_are_format_errors(tmp_path,
+                                                         capsys):
+    ewl_doc = json.loads(formats.fixture_text("pd_ewl_3strat.json"))
+    bayes_doc = json.loads(formats.fixture_text("chsh_common_interest.json"))
+    matrix = {"matrix": [[1.0]]}
+    cases = {
+        "ewl_no_players": {**ewl_doc, "players": 0},
+        "ewl_one_player": {**ewl_doc, "players": 1},
+        "ewl_dim_0": {**ewl_doc, "dim": 0},
+        "ewl_dim_3": {**ewl_doc, "dim": 3},
+        "matrix_dim_0": {**ewl_doc, "dim": 0, "entangler": matrix},
+        "matrix_dim_-2": {**ewl_doc, "dim": -2, "entangler": matrix},
+        "bayes_no_players": {**bayes_doc, "players": 0},
+    }
+    for dims in ([-1, -4], [0, 4]):
+        cases[f"advice_dims_{dims}"] = {
+            **bayes_doc, "advice": {**bayes_doc["advice"], "dims": dims}}
+    for name, doc in cases.items():
+        with pytest.raises(FormatError):
+            formats.loads(json.dumps(doc))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        command = "ewl-nash" if doc["kind"] == "ewl" else "bell-bound"
+        assert _json_error(capsys, [command, str(path)])["type"] == \
+            "FormatError", name
+
+
+def test_ewl_spec_over_the_dimension_cap_exits_2_before_allocating(
+        tmp_path, capsys):
+    doc = json.loads(formats.fixture_text("pd_ewl_3strat.json"))
+    path = tmp_path / "nine_players.json"
+    path.write_text(json.dumps({**doc, "players": 9}), encoding="utf-8")
+    limit = dimension_limit()
+    set_dimension_limit(16)
+    tracemalloc.start()
+    try:
+        error = _json_error(capsys, ["ewl-nash", str(path)], status=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        set_dimension_limit(limit)
+    assert error["type"] == "DimensionLimitError"
+    # the 9-player entangler would take three dense 512x512 arrays, 12 MiB
+    assert peak < 2 ** 20
 
 
 def test_json_numbers_must_be_finite():

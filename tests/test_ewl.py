@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgamelab.errors import (
+    DimensionLimitError,
     DomainMismatchError,
     EmbeddingError,
     NormalizationError,
@@ -41,10 +42,12 @@ from qgamelab.linalg import (
     StateVector,
     apply_on_wires,
     born_probabilities,
+    dimension_limit,
     from_matrix,
     identity,
     ket,
     outcome_labels,
+    set_dimension_limit,
     states_phase_equal,
 )
 
@@ -109,6 +112,21 @@ def test_entangler_rejects_non_qubits_and_single_player():
         ewl_entangler(2, dim=3)
     with pytest.raises(DomainMismatchError):
         ewl_entangler(1)
+
+
+def test_entangler_checks_the_dimension_cap_before_allocating():
+    limit = dimension_limit()
+    set_dimension_limit(16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimitError):
+            ewl_entangler(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        set_dimension_limit(limit)
+    # three dense 512x512 complex arrays would take 12 MiB
+    assert peak < 2 ** 20
 
 
 def test_final_state_ih_profile():
