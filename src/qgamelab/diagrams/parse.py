@@ -37,7 +37,8 @@ _ATOM_STARTERS = (*ATOM_SYNTAX, "(")
 
 # Each argument kind of ATOM_SYNTAX except "phase": how an error names
 # it, and the test its token's text must pass.  Only number tokens are
-# all digits, and only identifier tokens are identifiers.
+# all digits, and only identifier tokens are identifiers (so are the
+# atom keywords).
 _ARGUMENTS = {"nat": ("natural number", str.isdigit),
               "digits": ("digit string", str.isdigit),
               "name": ("box name", str.isidentifier)}
@@ -123,7 +124,7 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return inner
-        if tok.kind != "ident" or tok.text not in ATOM_SYNTAX:
+        if tok.text not in ATOM_SYNTAX:
             self.fail(_ATOM_STARTERS)
         self.pos += 1
         cls, kinds = ATOM_SYNTAX[tok.text]
