@@ -42,8 +42,9 @@ def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
                phase: PhaseElement | None = None) -> LinearMap:
     """The (inputs -> outputs) spider: sum_k w_k |k..k><k..k|.
 
-    Built as the copy tensor with w_k at |k..k>, moved leg by leg from
-    the observable's point basis to the standard basis.
+    Built as one rank-d product (A_outputs diag(w)) A_inputs^T, where
+    column k of A_n is point k on each of n legs, conjugated on the
+    input side.
     """
     d = obs.dim
     if phase is None:
@@ -56,16 +57,20 @@ def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
         weights = phase.weights()
     in_dims = check_dims((d,) * inputs, "spider input dims")
     out_dims = check_dims((d,) * outputs, "spider output dims")
-    legs = outputs + inputs
-    # |k..k> sits at flat index k * (1 + d + ... + d^(legs-1)); with no
-    # legs every k lands on the one entry and the weights add up.
-    copy = np.zeros(d ** legs, dtype=complex)
-    np.add.at(copy, np.arange(d) * sum(d ** a for a in range(legs)), weights)
     points = obs.point_matrix()
-    arr = apply_on_wires([points] * outputs + [points.conj()] * inputs,
-                         copy.reshape((d,) * legs))
-    return LinearMap(arr.reshape(d ** outputs, d ** inputs), in_dims,
-                     out_dims)
+    arr = (_on_every_leg(points, outputs) * weights) \
+        @ _on_every_leg(points.conj(), inputs).T
+    return LinearMap(arr, in_dims, out_dims)
+
+
+def _on_every_leg(points: np.ndarray, legs: int) -> np.ndarray:
+    """The (d^legs x d) matrix whose column k is ``points[:, k]`` on each
+    of ``legs`` wires, big-endian; with no legs, a row of ones."""
+    d = points.shape[1]
+    out = np.ones((1, d), dtype=complex)
+    for _ in range(legs):
+        out = (out[:, None, :] * points).reshape(-1, d)
+    return out
 
 
 def swap_map(dim: int) -> LinearMap:
@@ -203,7 +208,8 @@ class _Evaluation:
         in_dims = self._dims(ins, "Par in_dims")
         out_dims = self._dims(outs, "Par out_dims")
         blocks = [d ** b if isinstance(b, int) else b for b in blocks]
-        return LinearMap(tensor_in_place(blocks), in_dims, out_dims)
+        return LinearMap._of_finite(tensor_in_place(blocks), in_dims,
+                                    out_dims)
 
 
 def _atom_map(term: DiagramTerm, obs: ObservableStructure) -> LinearMap:

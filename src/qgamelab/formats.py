@@ -27,13 +27,20 @@ from .bayes import (
     phase_basis,
 )
 from .errors import (
+    DimensionLimitError,
     DomainMismatchError,
     FormatError,
     GameLabError,
     UnsupportedDimensionError,
 )
 from .ewl import QuantumGameSpec, ewl_entangler
-from .linalg import BUILTIN_GATES, LinearMap, StateVector, from_matrix
+from .linalg import (
+    BUILTIN_GATES,
+    LinearMap,
+    StateVector,
+    check_dims,
+    from_matrix,
+)
 
 _ANGLE_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?(?P<pi>pi)?"
@@ -101,10 +108,13 @@ def matrix_from_json(rows, where: str, in_dims=None,
                     for r in rows):
         raise FormatError(f"{where}: expected a list of equal-length "
                           f"matrix rows")
+    check_dims((max(len(rows), len(rows[0])),), f"{where} rows or columns")
     entries = [[complex_from_json(v, f"{where}[{i}][{j}]")
                 for j, v in enumerate(row)] for i, row in enumerate(rows)]
     try:
         return from_matrix(entries, in_dims=in_dims, out_dims=out_dims)
+    except DimensionLimitError:
+        raise
     except GameLabError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 

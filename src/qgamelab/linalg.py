@@ -9,14 +9,15 @@ This module is the one place that knows this wire layout, and nothing
 else builds an operator on a whole product space to apply a product:
 
 - ``apply_on_wires`` contracts one factor per axis: EWL moves, per-wire
-  measurement, Bell bras, spiders and kets.
+  measurement, Bell bras and kets.
 - ``apply_on_span`` and ``swap_on_span`` apply one factor to a run of
   adjacent wires of a map's rows, so diagram evaluation streams each
   ``Par`` stage of a ``Seq`` through the map built so far, one factor
   at a time, with identity factors costing nothing.
 - ``tensor_in_place`` builds a Kronecker product in one zeroed
-  allocation and writes only its non-zero entries, so an identity
-  factor costs one diagonal write and no intermediate product.
+  allocation and writes, and checks to be finite, only its non-zero
+  entries, so an identity factor costs one diagonal write and no
+  intermediate product.
 """
 
 from __future__ import annotations
@@ -70,10 +71,14 @@ def check_dims(dims, what: str) -> tuple[int, ...]:
     return dims
 
 
-def _as_complex(entries, what: str) -> np.ndarray:
-    arr = np.asarray(entries, dtype=complex)
+def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite (no NaN/Inf)")
+
+
+def _as_complex(entries, what: str) -> np.ndarray:
+    arr = np.asarray(entries, dtype=complex)
+    _check_finite(arr, what)
     return arr
 
 
@@ -103,7 +108,9 @@ class LinearMap:
     def __post_init__(self):
         in_dims = check_dims(self.in_dims, "in_dims")
         out_dims = check_dims(self.out_dims, "out_dims")
-        arr = _as_complex(self.array, "entries")
+        arr = self.array
+        if not vars(self).pop("_entries_checked", False):
+            arr = _as_complex(arr, "entries")
         expect = (math.prod(out_dims), math.prod(in_dims))
         if arr.shape != expect:
             raise ShapeMismatchError(
@@ -114,6 +121,17 @@ class LinearMap:
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
+
+    @classmethod
+    def _of_finite(cls, arr: np.ndarray, in_dims, out_dims) -> "LinearMap":
+        """Wrap a complex array whose entries are already known to be
+        finite: the constructor's checks run, but for the pass over
+        every entry."""
+        new = cls.__new__(cls)
+        vars(new).update(array=arr, in_dims=in_dims, out_dims=out_dims,
+                         _entries_checked=True)
+        new.__post_init__()
+        return new
 
     @property
     def rows(self) -> int:
@@ -301,6 +319,9 @@ def tensor_in_place(factors) -> np.ndarray:
     intermediate product is built.  The view has at most two axes per
     factor, and a result that fits in memory has far fewer than 32
     factors that are not 1 x 1, so numpy's 64-axis limit is never met.
+
+    Only the written entries are checked to be finite, through the same
+    view, so the check costs as much as the writes.
     """
     scalar, blocks = 1, []      # blocks: identity sizes and matrices
     for f in factors:
@@ -332,6 +353,7 @@ def tensor_in_place(factors) -> np.ndarray:
         operands.append(blocks[j].reshape(shape))
     *head, last = operands
     np.multiply(functools.reduce(np.multiply, head, 1), last, out=view)
+    _check_finite(view, "entries")
     return out
 
 

@@ -601,6 +601,30 @@ def test_ewl_spec_over_the_dimension_cap_exits_2_before_allocating(
     assert peak < 2 ** 20
 
 
+def test_matrix_entangler_over_the_dimension_cap_exits_2_before_allocating(
+        tmp_path, capsys):
+    doc = json.loads(formats.fixture_text("pd_ewl_3strat.json"))
+    eye = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(32)]
+           for i in range(32)]
+    # the cap is checked before any entry is read, so a bad last entry
+    # changes nothing
+    bad = [row[:] for row in eye]
+    bad[-1][-1] = "one"
+    limit = dimension_limit()
+    set_dimension_limit(16)
+    try:
+        for matrix in (eye, bad):
+            path = tmp_path / "five_players.json"
+            path.write_text(json.dumps({**doc, "players": 5,
+                                        "entangler": {"matrix": matrix}}),
+                            encoding="utf-8")
+            error = _json_error(capsys, ["ewl-nash", str(path)], status=2)
+            assert error["type"] == "DimensionLimitError"
+            assert "entangler.matrix" in error["message"]
+    finally:
+        set_dimension_limit(limit)
+
+
 def test_json_numbers_must_be_finite():
     for bad in (math.inf, -math.inf, math.nan, 10 ** 400):
         with pytest.raises(FormatError):

@@ -46,11 +46,13 @@ from qgamelab.linalg import (
     PAULI_X,
     LinearMap,
     StateVector,
+    apply_on_wires,
     dimension_limit,
     identity,
     ket,
     outcome_labels,
     set_dimension_limit,
+    tensor_in_place,
 )
 
 Z = ObservableStructure.computational()
@@ -339,6 +341,51 @@ def test_spider_and_ket_maps_match_the_outer_product_oracle():
                                        atol=1e-12)
 
 
+def _copy_tensor_spider(obs, inputs, outputs, phase=None) -> np.ndarray:
+    """The spider as it was built before the rank-d product: the copy
+    tensor with w_k at |k..k>, moved leg by leg to the standard basis."""
+    d = obs.dim
+    if phase is None:
+        weights = np.ones(d, dtype=complex)
+    else:
+        if phase.dim != d:
+            raise ShapeMismatchError("phase and observable dims differ")
+        weights = phase.weights()
+    legs = outputs + inputs
+    copy = np.zeros(d ** legs, dtype=complex)
+    np.add.at(copy, np.arange(d) * sum(d ** a for a in range(legs)), weights)
+    points = obs.point_matrix()
+    arr = apply_on_wires([points] * outputs + [points.conj()] * inputs,
+                         copy.reshape((d,) * legs))
+    return arr.reshape(d ** outputs, d ** inputs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_spider_map_matches_the_copy_tensor_oracle(d):
+    rng = np.random.default_rng(900 + d)
+    qudit = PhaseElement((0.0,) + tuple(rng.uniform(-4, 4, d - 1)))
+    qubit = PhaseElement.qubit(float(rng.uniform(-4, 4)))
+    for m, n in itertools.product(range(5), range(5)):
+        for phase in (None, qubit, qudit):
+            for obs, exact in ((ObservableStructure.computational(d), True),
+                               (ObservableStructure.fourier(d), False)):
+                if phase is not None and phase.dim != d:
+                    with pytest.raises(ShapeMismatchError):
+                        spider_map(obs, m, n, phase)
+                    with pytest.raises(ShapeMismatchError):
+                        _copy_tensor_spider(obs, m, n, phase)
+                    continue
+                got = spider_map(obs, m, n, phase).array
+                want = _copy_tensor_spider(obs, m, n, phase)
+                assert got.shape == want.shape
+                if exact:
+                    assert np.array_equal(got, want), (m, n, phase)
+                else:
+                    scale = float(np.abs(want).max())
+                    assert np.abs(got - want).max() <= 1e-12 * scale, \
+                        (m, n, phase)
+
+
 def test_size_caps_are_checked_before_allocating():
     tracemalloc.start()
     try:
@@ -553,3 +600,29 @@ def test_lone_par_is_built_in_one_allocation(source):
         tracemalloc.stop()
     assert out.array.nbytes == result_bytes
     assert peak < 1.25 * result_bytes
+
+
+def test_lone_par_rejects_entries_that_overflow():
+    big = LinearMap(np.diag([1e200, 1.0]).astype(complex), (2,), (2,))
+    message = r"^entries must be finite \(no NaN/Inf\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            evaluate(parse("box(A) * box(B)"), Z, {"A": big, "B": big})
+        for factors in ([big.array, 4, big.array], [np.array([[np.nan]]), 2],
+                        [3, np.array([[0.0, np.inf]])]):
+            with pytest.raises(ValueError, match=message):
+                tensor_in_place(factors)
+
+
+def test_lone_par_checks_only_the_entries_it_writes():
+    # 11 wires at d = 2: a finiteness pass over the whole 64 MiB result
+    # would allocate a 4 MiB bool array next to it
+    result_bytes = 16 * 2 ** 22
+    tracemalloc.start()
+    try:
+        out = evaluate(parse("id(10) * spider(1,1,0.3)"), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.array.nbytes == result_bytes
+    assert peak < 1.02 * result_bytes
