@@ -109,6 +109,7 @@ class LinearMap:
         in_dims = check_dims(self.in_dims, "in_dims")
         out_dims = check_dims(self.out_dims, "out_dims")
         arr = self.array
+        # set only by _of_finite, for entries it has already checked
         if not vars(self).pop("_entries_checked", False):
             arr = _as_complex(arr, "entries")
         expect = (math.prod(out_dims), math.prod(in_dims))
@@ -125,8 +126,8 @@ class LinearMap:
     @classmethod
     def _of_finite(cls, arr: np.ndarray, in_dims, out_dims) -> "LinearMap":
         """Wrap a complex array whose entries are already known to be
-        finite: the constructor's checks run, but for the pass over
-        every entry."""
+        finite: every check of the constructor runs except the pass
+        over every entry."""
         new = cls.__new__(cls)
         vars(new).update(array=arr, in_dims=in_dims, out_dims=out_dims,
                          _entries_checked=True)
