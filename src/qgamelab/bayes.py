@@ -9,14 +9,16 @@ linear functionals on those conditionals; with coefficients mu(X) *
 P_i(X, s) the Bell value of player i's expression is exactly their
 average payoff.
 
-Tables keep their string labels; ``_grid`` and ``_from_grid`` turn them
-into float arrays with axes (X_1..X_N, S_1..S_N) in label order and back,
-the one place that knows this layout, in both directions.  Each validated
-table builds its grid once, in its constructor, and keeps it privately:
+Each constructor lays its label-keyed tables out with ``_grid``
+(``linalg.table_grid``) as float arrays with axes (X_1..X_N, S_1..S_N) in
+label order, and checks every table of distributions in one
+``linalg.distributions`` pass on that grid.  It keeps the grid privately:
 a game its coefficients mu(X) P_i(X, s) per player, an expression its
-coefficients, a conditional its probabilities.  Each advice object reduces
-to its conditional once and keeps it.  Payoffs, Bell values and every
-search read those stored arrays.
+coefficients, a conditional its probabilities.  The public dicts are read
+back from the checked grids.  Each advice object reduces to its
+conditional once, straight from the reduction's array through
+``ConditionalDistribution._of_grid``, and keeps it.  Payoffs, Bell values
+and every search read those stored arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, apply_on_wires,
-                     check_dims)
+                     check_dims, distributions)
+from .linalg import table_grid as _grid
 
 EQUILIBRIUM_TOL = 1e-9
 DEFAULT_ENUMERATION_LIMIT = 10 ** 7
@@ -55,48 +58,38 @@ def _label_lists(value, what: str) -> tuple[Labels, ...]:
     return lists
 
 
-def _grid(domain, entry) -> np.ndarray:
-    """``entry((joint_type, joint_strategy))`` on every cell of a game's,
-    expression's or conditional's domain, as a float array with axes
-    (X_1..X_N, S_1..S_N), each in label order."""
-    shape = [len(x) for x in domain.types + domain.strategies]
-    cells = itertools.product(itertools.product(*domain.types),
-                              itertools.product(*domain.strategies))
-    return np.fromiter(map(entry, cells), float,
-                       math.prod(shape)).reshape(shape)
+def _distribution(keys: list, raw: Mapping, what: str) -> dict:
+    """A table over ``keys`` that must be one distribution, missing
+    entries read as 0, clamped and checked."""
+    (row,) = distributions(_grid(keys, raw, what, 0.0)[None], (what,), keys)
+    return dict(zip(keys, row.tolist()))
 
 
-def _from_grid(domain, p: np.ndarray) -> ConditionalDistribution:
-    """The inverse of ``_grid``: the conditional whose grid is ``p``."""
-    keys = list(itertools.product(*domain.strategies))
-    rows = (dict(zip(keys, r)) for r in p.reshape(-1, len(keys)).tolist())
-    table = dict(zip(itertools.product(*domain.types), rows))
-    return ConditionalDistribution(domain.types, domain.strategies, table)
-
-
-def _clamped_distribution(raw: Mapping, domain: list, what: str,
-                          tol: float = PROB_TOL) -> dict:
-    """Validate a distribution over ``domain``: clamp tiny negatives,
-    reject real ones, require unit mass within ``tol``."""
-    extra = set(raw) - set(domain)
+def _rows(keys: list, cols, table: Mapping, what: str,
+          missing) -> np.ndarray:
+    """A table of rows as one grid over its cells (row key, column key):
+    row r is ``table[keys[r]]`` over ``cols``, missing entries read as 0.
+    ``missing(key)`` words the error for a missing row."""
+    extra = set(table).difference(keys)
     if extra:
         raise DomainMismatchError(
             f"{what} has entries outside its domain: {sorted(extra)[:4]}")
-    out = {}
-    for key in domain:
-        p = float(raw.get(key, 0.0))
-        if not math.isfinite(p):
-            raise NormalizationError(f"{what} has non-finite weight {p} at "
-                                     f"{key}", total=p)
-        if p < -ALGEBRA_TOL:
-            raise NormalizationError(f"{what} has negative weight {p} at "
-                                     f"{key}", total=p)
-        out[key] = max(p, 0.0)
-    total = sum(out.values())
-    if abs(total - 1.0) > tol:
-        raise NormalizationError(f"{what} sums to {total}, expected 1",
-                                 total=total)
-    return out
+    try:
+        cells = {(k, c): v for k in keys for c, v in table[k].items()}
+    except KeyError as exc:
+        raise DomainMismatchError(missing(exc.args[0])) from None
+    return _grid(list(itertools.product(keys, cols)), cells, what,
+                 0.0).reshape(len(keys), -1)
+
+
+def _cells(domain) -> list[tuple[JointLabels, JointLabels]]:
+    """Every (joint type, joint strategy) of a domain, in grid order."""
+    return list(itertools.product(itertools.product(*domain.types),
+                                  itertools.product(*domain.strategies)))
+
+
+def _shape(domain) -> tuple[int, ...]:
+    return tuple(len(x) for x in domain.types + domain.strategies)
 
 
 @dataclass(frozen=True)
@@ -111,41 +104,32 @@ class BayesianGame:
     def __post_init__(self):
         types = _label_lists(self.types, "type")
         strategies = _label_lists(self.strategies, "strategy")
-        if len(types) != len(strategies):
+        n = len(types)
+        if n != len(strategies):
             raise DomainMismatchError(
-                f"{len(types)} type sets but {len(strategies)} strategy "
-                f"sets")
+                f"{n} type sets but {len(strategies)} strategy sets")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "strategies", strategies)
 
         joint_types = list(itertools.product(*types))
-        prior = _clamped_distribution(self.prior, joint_types, "prior")
+        prior = _distribution(joint_types, self.prior, "prior")
         object.__setattr__(self, "prior", prior)
 
-        if len(self.payoffs) != len(types):
+        if len(self.payoffs) != n:
             raise DomainMismatchError(
-                f"{len(self.payoffs)} payoff tables for {len(types)} "
-                f"players")
-        tables = []
-        for i, raw in enumerate(self.payoffs):
-            table = {}
-            for jt in joint_types:
-                for js in itertools.product(*strategies):
-                    try:
-                        table[(jt, js)] = float(raw[(jt, js)])
-                    except KeyError:
-                        raise DomainMismatchError(
-                            f"player {i} payoff is undefined at types {jt}, "
-                            f"strategies {js}") from None
-            if not all(map(math.isfinite, table.values())):
-                raise DomainMismatchError(
-                    f"player {i} has a non-finite payoff")
-            tables.append(table)
-        object.__setattr__(self, "payoffs", tuple(tables))
+                f"{len(self.payoffs)} payoff tables for {n} players")
+        cells = _cells(self)
+        pay = np.array([_grid(cells, raw, f"player {i} payoff table")
+                        for i, raw in enumerate(self.payoffs)])
+        if not np.isfinite(pay).all():
+            i = np.isfinite(pay).all(axis=1).argmin()
+            raise DomainMismatchError(f"player {i} has a non-finite payoff")
+        object.__setattr__(self, "payoffs", tuple(
+            dict(zip(cells, row)) for row in pay.tolist()))
         # player i's Bell coefficients mu(X) P_i(X, s), stacked on axis 0
-        mu = _grid(self, lambda key: prior[key[0]])
-        object.__setattr__(self, "_alphas", mu * np.stack(
-            [_grid(self, t.__getitem__) for t in tables]))
+        shape = _shape(self)
+        mu = np.reshape(list(prior.values()), shape[:n] + (1,) * n)
+        object.__setattr__(self, "_alphas", mu * pay.reshape((n,) + shape))
 
     @property
     def players(self) -> int:
@@ -165,7 +149,7 @@ class BayesianGame:
         """Build from a prior over nature states Omega and type maps
         tau_i: Omega -> X_i, pushing the prior forward to joint types."""
         omega = [str(w) for w in nature_states]
-        rho = _clamped_distribution(prior, omega, "nature prior")
+        rho = _distribution(omega, prior, "nature prior")
         types = _label_lists(
             [_ordered_values(tau, omega) for tau in type_maps], "type")
         joint_prior: dict[JointLabels, float] = {}
@@ -197,21 +181,31 @@ class ConditionalDistribution:
         strategies = _label_lists(self.strategies, "strategy")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "strategies", strategies)
+        joint_types = list(itertools.product(*types))
         joint_strategies = list(itertools.product(*strategies))
-        table = {}
-        for jt in itertools.product(*types):
-            if jt not in self.table:
-                raise DomainMismatchError(
-                    f"conditional is missing joint type {jt}")
-            table[jt] = _clamped_distribution(
-                self.table[jt], joint_strategies, f"p(s | {jt})")
-        extra = set(self.table) - set(table)
-        if extra:
-            raise DomainMismatchError(
-                f"conditional has unknown joint types: {sorted(extra)[:4]}")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_p", _grid(
-            self, lambda key: table[key[0]][key[1]]))
+        names = [f"p(s | {jt})" for jt in joint_types]
+        p = vars(self).pop("_unchecked", None)  # set only by _of_grid
+        if p is None:
+            p = _rows(joint_types, joint_strategies, self.table,
+                      "conditional",
+                      lambda jt: f"conditional is missing joint type {jt}")
+        rows = distributions(p.reshape(len(names), -1), names,
+                             joint_strategies)
+        object.__setattr__(self, "table", {
+            jt: dict(zip(joint_strategies, row))
+            for jt, row in zip(joint_types, rows.tolist())})
+        object.__setattr__(self, "_p", rows.reshape(_shape(self)))
+
+    @classmethod
+    def _of_grid(cls, domain, p: np.ndarray) -> "ConditionalDistribution":
+        """The conditional whose grid is ``p``, with axes (X_1..X_N,
+        S_1..S_N), on ``domain``'s labels: every check of the constructor
+        runs on ``p`` itself, with no label-keyed table in between."""
+        new = cls.__new__(cls)
+        vars(new).update(types=domain.types, strategies=domain.strategies,
+                         table=None, _unchecked=p)
+        new.__post_init__()
+        return new
 
     @property
     def players(self) -> int:
@@ -273,26 +267,23 @@ class ClassicalAdvice:
             raise DomainMismatchError("lambda values must be nonempty and "
                                       "distinct")
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "rho", _clamped_distribution(
-            self.rho, list(lambdas), "rho"))
+        object.__setattr__(self, "rho",
+                           _distribution(list(lambdas), self.rho, "rho"))
 
         if len(self.responses) != len(types):
             raise DomainMismatchError(
                 f"{len(self.responses)} response tables for {len(types)} "
                 f"players")
         tables = []
-        for i, raw in enumerate(self.responses):
-            table = {}
-            for x in types[i]:
-                for lam in lambdas:
-                    if (x, lam) not in raw:
-                        raise DomainMismatchError(
-                            f"player {i} has no response row for type "
-                            f"{x!r}, lambda {lam!r}")
-                    table[(x, lam)] = _clamped_distribution(
-                        raw[(x, lam)], list(strategies[i]),
-                        f"p(s | {x}, {lam}) of player {i}")
-            tables.append(table)
+        for i, (raw, s_i) in enumerate(zip(self.responses, strategies)):
+            keys = list(itertools.product(types[i], lambdas))
+            names = [f"p(s | {x}, {lam}) of player {i}" for x, lam in keys]
+            p = _rows(keys, s_i, raw, f"player {i} response table",
+                      lambda k: f"player {i} has no response row for type "
+                                f"{k[0]!r}, lambda {k[1]!r}")
+            rows = distributions(p, names, s_i).tolist()
+            tables.append({k: dict(zip(s_i, row))
+                           for k, row in zip(keys, rows)})
         object.__setattr__(self, "responses", tuple(tables))
 
     @classmethod
@@ -326,7 +317,8 @@ def classical_conditional(advice: ClassicalAdvice) -> ConditionalDistribution:
         operands += [np.array(rows), [n, i]]
         sizes += len(s_i), len(x_i)
     p = np.einsum(*operands, list(range(n))).reshape(sizes)
-    return _from_grid(advice, np.moveaxis(p, range(1, 2 * n, 2), range(n)))
+    return ConditionalDistribution._of_grid(
+        advice, np.moveaxis(p, range(1, 2 * n, 2), range(n)))
 
 
 def phase_basis(alpha: float) -> tuple[StateVector, StateVector]:
@@ -367,6 +359,11 @@ class QuantumAdvice:
                 f"players")
         cleaned = []
         for i, per in enumerate(self.measurements):
+            extra = set(per).difference(types[i])
+            if extra:
+                raise DomainMismatchError(
+                    f"player {i} measurement table has entries outside its "
+                    f"domain: {sorted(extra)[:4]}")
             d = self.shared_state.dims[i]
             if len(strategies[i]) != d:
                 raise DomainMismatchError(
@@ -415,7 +412,7 @@ def quantum_conditional(advice: QuantumAdvice) -> ConditionalDistribution:
     bras = [np.stack([[b.amplitudes for b in per[x]] for x in x_i], -1).conj()
             for per, x_i in zip(advice.measurements, advice.types)]
     out = np.moveaxis(apply_on_wires(bras, psi), range(1, 2 * n, 2), range(n))
-    return _from_grid(advice, np.abs(out) ** 2)
+    return ConditionalDistribution._of_grid(advice, np.abs(out) ** 2)
 
 
 def conditional_of(advice) -> ConditionalDistribution:
@@ -443,21 +440,13 @@ class BellExpression:
         strategies = _label_lists(self.strategies, "strategy")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "strategies", strategies)
-        domain = set(itertools.product(
-            itertools.product(*types), itertools.product(*strategies)))
-        coeffs = {}
-        for key, v in self.coefficients.items():
-            jt, js = tuple(key[0]), tuple(key[1])
-            if (jt, js) not in domain:
-                raise DomainMismatchError(
-                    f"coefficient at types {jt}, strategies {js} is "
-                    f"outside the domain")
-            coeffs[(jt, js)] = float(v)
-        if not all(map(math.isfinite, coeffs.values())):
+        coeffs = {(tuple(k[0]), tuple(k[1])): float(v)
+                  for k, v in self.coefficients.items()}
+        alpha = _grid(_cells(self), coeffs, "Bell expression", 0.0)
+        if not np.isfinite(alpha).all():
             raise DomainMismatchError("a coefficient is not finite")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "_alpha", _grid(
-            self, lambda key: coeffs.get(key, 0.0)))
+        object.__setattr__(self, "_alpha", alpha.reshape(_shape(self)))
         if self.bound is not None:
             object.__setattr__(self, "bound", float(self.bound))
 

@@ -43,6 +43,7 @@ from .linalg import (
     from_matrix,
     ket,
     outcome_labels,
+    table_grid,
 )
 
 NASH_TOL = 1e-9
@@ -69,28 +70,22 @@ class StrategicFormGame:
                 raise DomainMismatchError(
                     f"player {i} has duplicate strategy labels: {per}")
         n = len(labels)
-        table: PayoffTable = {}
-        for profile in itertools.product(*labels):
-            try:
-                row = self.payoffs[profile]
-            except KeyError:
-                raise DomainMismatchError(
-                    f"payoff table is missing profile {profile}") from None
-            row = tuple(map(float, row))
-            if len(row) != n:
-                raise DomainMismatchError(
-                    f"profile {profile} has {len(row)} payoffs for {n} "
-                    f"players")
-            table[profile] = row
-        if len(self.payoffs) != len(table):
-            extra = set(self.payoffs) - set(table)
+        profiles = list(itertools.product(*labels))
+        # the keys are checked on the row widths, which must all be n
+        widths = table_grid(profiles, dict(zip(
+            self.payoffs, map(len, self.payoffs.values()))), "payoff table")
+        off = np.flatnonzero(widths != n)
+        if off.size:
             raise DomainMismatchError(
-                f"payoff table has entries outside the strategy sets: "
-                f"{sorted(extra)}")
-        object.__setattr__(self, "payoffs", table)
+                f"profile {profiles[off[0]]} has {int(widths[off[0]])} "
+                f"payoffs for {n} players")
+        pay = np.fromiter(map(float, itertools.chain.from_iterable(map(
+            self.payoffs.__getitem__, profiles))), float, len(profiles) * n)
+        object.__setattr__(self, "payoffs", dict(zip(
+            profiles, map(tuple, pay.reshape(-1, n).tolist()))))
         # the payoffs as (k_0..k_{N-1}, player), in product order
-        object.__setattr__(self, "_pay", np.reshape(
-            list(table.values()), tuple(map(len, labels)) + (n,)))
+        object.__setattr__(self, "_pay", pay.reshape(
+            tuple(map(len, labels)) + (n,)))
 
     @property
     def players(self) -> int:
@@ -162,21 +157,17 @@ class QuantumGameSpec:
             raise UnitarityError("entangler is not unitary")
 
         labels = outcome_labels(wire_dims)
-        coeffs = []
-        for i, per in enumerate(self.payoff_coeffs):
-            per = {str(k): float(v) for k, v in per.items()}
-            missing = [k for k in labels if k not in per]
-            extra = sorted(set(per) - set(labels))
-            if missing or extra:
-                raise DomainMismatchError(
-                    f"player {i} payoff coefficients must be keyed by the "
-                    f"{len(labels)} outcome strings; missing {missing[:4]}, "
-                    f"unexpected {extra[:4]}")
-            coeffs.append(per)
-        if len(coeffs) != n:
+        # keyed by outcome string, in the order given
+        tables = tuple(dict(zip(map(str, per), map(float, per.values())))
+                       for per in self.payoff_coeffs)
+        if len(tables) != n:
             raise DomainMismatchError(
-                f"{len(coeffs)} payoff tables for {n} players")
-        object.__setattr__(self, "payoff_coeffs", tuple(coeffs))
+                f"{len(tables)} payoff tables for {n} players")
+        # outcome coefficients as an (N, d^N) array in basis-index order
+        object.__setattr__(self, "_coeffs", np.array(
+            [table_grid(labels, per, f"player {i} payoff coefficient table")
+             for i, per in enumerate(tables)]))
+        object.__setattr__(self, "payoff_coeffs", tables)
 
         init = self.initial_ket or "0" * n
         if len(init) != n or not init.isdigit() or \
@@ -250,12 +241,6 @@ def _profile_maps(spec: QuantumGameSpec,
     return [spec.strategy(i, lab) for i, lab in enumerate(labels)]
 
 
-def _coefficients(spec: QuantumGameSpec) -> np.ndarray:
-    """Outcome coefficients as an (N, d^N) array in basis-index order."""
-    labels = outcome_labels((spec.dim,) * spec.players)
-    return np.array([[per[s] for s in labels] for per in spec.payoff_coeffs])
-
-
 def _final_states(spec: QuantumGameSpec, stacks):
     """sigma for every profile of the gate stacks, one block per k_0.
 
@@ -299,11 +284,10 @@ def _payoff_array(spec: QuantumGameSpec, labels) -> np.ndarray:
     """Payoffs of every profile over ``labels``: (k_0..k_{N-1}, player)."""
     stacks = [np.array([spec.strategy(i, lab).array for lab in per])
               for i, per in enumerate(labels)]
-    coeffs = _coefficients(spec)
     out = np.empty((len(stacks[0]), math.prod(map(len, stacks[1:])),
                     spec.players))
     for block, finals in zip(out, _final_states(spec, stacks)):
-        block[:] = _weigh(finals, coeffs)
+        block[:] = _weigh(finals, spec._coeffs)
     return out.reshape(tuple(map(len, stacks)) + (spec.players,))
 
 
@@ -318,7 +302,7 @@ def play(spec: QuantumGameSpec, profile: Iterable[str]) -> ProfileResult:
     labels = tuple(profile)
     sigma = final_state(spec, labels)
     dist = born_probabilities(sigma, tol=PROB_TOL)
-    (pay,) = _weigh(sigma.amplitudes[None], _coefficients(spec))
+    (pay,) = _weigh(sigma.amplitudes[None], spec._coeffs)
     return ProfileResult(labels, sigma, dist, tuple(pay.tolist()))
 
 

@@ -6,8 +6,11 @@ payoff keys pair them as "types|strategies".  Angles accept either a
 number (radians) or a "pi" fraction string such as "pi/2" or "-3pi/4".
 
 Loading is strict: unknown keys, wrong arities, or malformed numbers
-raise FormatError naming the offending location.  Dumping emits full
-float precision so a dump/load round trip reproduces equal objects.
+raise FormatError naming the offending location, and a table entry
+whose labels fall outside its game's domain (an unknown label, or a
+joint key with the wrong number of labels) is a FormatError naming the
+entry.  Dumping emits full float precision so a dump/load round trip
+reproduces equal objects.
 """
 
 from __future__ import annotations
@@ -180,15 +183,6 @@ def _label_lists(value, count: int, where: str) -> tuple[tuple[str, ...],
     return tuple(out)
 
 
-def _split_joint(key: str, count: int, where: str) -> tuple[str, ...]:
-    parts = tuple(key.split(","))
-    if len(parts) != count:
-        raise FormatError(
-            f"{where}: key {key!r} has {len(parts)} labels, expected "
-            f"{count}")
-    return parts
-
-
 def _join(labels: Sequence[str]) -> str:
     return ",".join(labels)
 
@@ -330,8 +324,8 @@ def bayes_from_json(doc: Mapping) \
     raw_prior = _require(doc, "prior", "bayes spec")
     if not isinstance(raw_prior, Mapping):
         raise FormatError("prior: expected an object")
-    prior = {_split_joint(str(k), players, "prior"):
-             _number(v, f"prior[{k!r}]") for k, v in raw_prior.items()}
+    prior = {tuple(str(k).split(",")): _number(v, f"prior[{k!r}]")
+             for k, v in raw_prior.items()}
 
     raw_pay = _require(doc, "payoffs", "bayes spec")
     if not isinstance(raw_pay, list) or len(raw_pay) != players or \
@@ -346,8 +340,7 @@ def bayes_from_json(doc: Mapping) \
             if len(parts) != 2:
                 raise FormatError(
                     f"{where}: key must look like \"types|strategies\"")
-            jt = _split_joint(parts[0], players, where)
-            js = _split_joint(parts[1], players, where)
+            jt, js = (tuple(part.split(",")) for part in parts)
             table[(jt, js)] = _number(v, where)
         payoffs.append(table)
 

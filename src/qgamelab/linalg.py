@@ -18,6 +18,15 @@ else builds an operator on a whole product space to apply a product:
   allocation and writes, and checks to be finite, only its non-zero
   entries, so an identity factor costs one diagonal write and no
   intermediate product.
+
+It is also the one place that decides how a label-keyed table becomes an
+array and what makes its rows distributions:
+
+- ``table_grid`` lays a table out in the order of its domain's keys and
+  rejects a key outside that domain, or a missing one with no fill.
+- ``distributions`` checks every row of such a grid in one pass: finite,
+  no weight below -``ALGEBRA_TOL`` (smaller negatives are clamped to 0),
+  and unit mass within a tolerance.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import numpy as np
 
 from .errors import (
     DimensionLimitError,
+    DomainMismatchError,
     NormalizationError,
     ShapeMismatchError,
 )
@@ -90,6 +100,60 @@ def outcome_labels(dims) -> list[str]:
     sep = "" if all(d <= 10 for d in dims) else ","
     return [sep.join(str(i) for i in idx)
             for idx in itertools.product(*(range(d) for d in dims))]
+
+
+def table_grid(keys, table, what: str, fill=None) -> np.ndarray:
+    """``table``'s values as a float array, one per key of ``keys`` (which
+    are distinct), in that order.
+
+    A key of ``table`` outside ``keys`` is a DomainMismatchError, and so
+    is a key of ``keys`` missing from ``table``, unless ``fill`` stands in
+    for it.  Each value is converted by ``float``.
+    """
+    try:
+        values = [table[k] for k in keys] if fill is None \
+            else [table.get(k, fill) for k in keys]
+    except KeyError as exc:
+        raise DomainMismatchError(
+            f"{what} has no entry for {exc.args[0]}") from None
+    # with every key found, a table of the same size has no other key
+    if fill is not None or len(table) != len(values):
+        extra = set(table).difference(keys)
+        if extra:
+            raise DomainMismatchError(
+                f"{what} has entries outside its domain: {sorted(extra)[:4]}")
+    return np.fromiter(map(float, values), float, len(values))
+
+
+def distributions(p: np.ndarray, what, keys,
+                  tol: float = PROB_TOL) -> np.ndarray:
+    """Check that every row of the 2-d array ``p`` is a probability
+    distribution, and return the rows with tiny negatives clamped to 0.
+
+    ``what[r]`` names row r and ``keys[k]`` entry k of every row.  A
+    weight that is not finite or is below -``ALGEBRA_TOL``, or a row whose
+    mass is off 1 by more than ``tol``, raises a NormalizationError naming
+    the first faulty row, and in it the first faulty entry.  Each row is
+    added from left to right, so a total is the one ``sum()`` gives.
+    """
+    low = p.min()
+    clamped = p if low >= 0.0 else np.where(p < 0.0, 0.0, p)
+    # a faulty row may overflow; it is reported below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.add.accumulate(clamped, axis=1)[:, -1]
+    if low >= -ALGEBRA_TOL and np.abs(totals - 1.0).max() <= tol:
+        return clamped
+    bad = ~np.isfinite(p) | (p < -ALGEBRA_TOL)
+    r = np.flatnonzero(bad.any(axis=1) | (np.abs(totals - 1.0) > tol))[0]
+    if bad[r].any():
+        k = bad[r].argmax()
+        weight = float(p[r, k])
+        kind = "negative" if math.isfinite(weight) else "non-finite"
+        raise NormalizationError(f"{what[r]} has {kind} weight {weight} at "
+                                 f"{keys[k]}", total=weight)
+    total = float(totals[r]) + 0.0  # sum() starts at 0, so never -0.0
+    raise NormalizationError(f"{what[r]} sums to {total}, expected 1",
+                             total=total)
 
 
 @dataclass(frozen=True)
@@ -353,7 +417,9 @@ def tensor_in_place(factors) -> np.ndarray:
         shape[j], shape[k + n] = blocks[j].shape
         operands.append(blocks[j].reshape(shape))
     *head, last = operands
-    np.multiply(functools.reduce(np.multiply, head, 1), last, out=view)
+    # an overflow or NaN is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(functools.reduce(np.multiply, head, 1), last, out=view)
     _check_finite(view, "entries")
     return out
 

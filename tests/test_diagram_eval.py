@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -626,3 +627,19 @@ def test_lone_par_checks_only_the_entries_it_writes():
         tracemalloc.stop()
     assert out.array.nbytes == result_bytes
     assert peak < 1.02 * result_bytes
+
+
+def test_lone_par_raises_with_no_warning_first():
+    """An overflow or a NaN in a lone Par is reported by the ValueError
+    alone: no numpy RuntimeWarning reaches the caller before it."""
+    big = LinearMap(np.diag([1e200, 1.0]).astype(complex), (2,), (2,))
+    message = r"^entries must be finite \(no NaN/Inf\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            evaluate(parse("box(A) * box(B)"), Z, {"A": big, "B": big})
+        for factors in ([big.array, 4, big.array], [np.array([[np.nan]]), 2],
+                        [3, np.array([[0.0, np.inf]])],
+                        [np.array([[np.inf]]), np.array([[0.0, 1.0]])]):
+            with pytest.raises(ValueError, match=message):
+                tensor_in_place(factors)
