@@ -15,7 +15,9 @@ label order, and checks every table of distributions in one
 ``linalg.distributions`` pass on that grid.  It keeps the grid privately:
 a game its coefficients mu(X) P_i(X, s) per player, an expression its
 coefficients, a conditional its probabilities.  The public dicts are read
-back from the checked grids.  Each advice object reduces to its
+back from the checked grids, and a key outside a table's domain is
+named by ``linalg.check_domain``, as in ``_grid``; a measurement basis
+must pass ``linalg.orthonormal``.  Each advice object reduces to its
 conditional once, straight from the reduction's array through
 ``ConditionalDistribution._of_grid``, and keeps it.  Payoffs, Bell values
 and every search read those stored arrays.
@@ -38,7 +40,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, apply_on_wires,
-                     check_dims, distributions)
+                     check_dims, check_domain, distributions, orthonormal)
 from .linalg import table_grid as _grid
 
 EQUILIBRIUM_TOL = 1e-9
@@ -70,10 +72,7 @@ def _rows(keys: list, cols, table: Mapping, what: str,
     """A table of rows as one grid over its cells (row key, column key):
     row r is ``table[keys[r]]`` over ``cols``, missing entries read as 0.
     ``missing(key)`` words the error for a missing row."""
-    extra = set(table).difference(keys)
-    if extra:
-        raise DomainMismatchError(
-            f"{what} has entries outside its domain: {sorted(extra)[:4]}")
+    check_domain(table, keys, what)
     try:
         cells = {(k, c): v for k in keys for c, v in table[k].items()}
     except KeyError as exc:
@@ -223,8 +222,12 @@ class ConditionalDistribution:
     def marginal(self, player: int,
                  joint_type: JointLabels) -> dict[str, float]:
         """p(s_i | X) summed over the other players' strategies."""
+        jt = tuple(joint_type)
+        if jt not in self.table or not 0 <= player < self.players:
+            raise DomainMismatchError(
+                f"no entry for types {jt}, player {player}")
         out = {s: 0.0 for s in self.strategies[player]}
-        for js, p in self.table[tuple(joint_type)].items():
+        for js, p in self.table[jt].items():
             out[js[player]] += p
         return out
 
@@ -359,11 +362,7 @@ class QuantumAdvice:
                 f"players")
         cleaned = []
         for i, per in enumerate(self.measurements):
-            extra = set(per).difference(types[i])
-            if extra:
-                raise DomainMismatchError(
-                    f"player {i} measurement table has entries outside its "
-                    f"domain: {sorted(extra)[:4]}")
+            check_domain(per, types[i], f"player {i} measurement table")
             d = self.shared_state.dims[i]
             if len(strategies[i]) != d:
                 raise DomainMismatchError(
@@ -379,8 +378,8 @@ class QuantumAdvice:
                     raise ShapeMismatchError(
                         f"player {i} type {x!r}: need {d} basis vectors on "
                         f"a dimension-{d} wire")
-                b = np.array([v.amplitudes for v in basis])  # one row each
-                if not np.abs(b.conj() @ b.T - np.eye(d)).max() <= ALGEBRA_TOL:
+                if not orthonormal(np.array([v.amplitudes for v in basis]).T,
+                                   ALGEBRA_TOL):
                     raise NormalizationError(
                         f"player {i} type {x!r}: basis is not orthonormal")
                 table[x] = basis

@@ -60,7 +60,8 @@ def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
     points = obs.point_matrix()
     arr = (_on_every_leg(points, outputs) * weights) \
         @ _on_every_leg(points.conj(), inputs).T
-    return LinearMap(arr, in_dims, out_dims)
+    # finite: orthonormal points times unit weights
+    return LinearMap._of_finite(arr, in_dims, out_dims)
 
 
 def _on_every_leg(points: np.ndarray, legs: int) -> np.ndarray:

@@ -110,7 +110,9 @@ class ObservableStructure:
             raise NormalizationError(
                 f"basis vectors {j} and {k} are not orthogonal: "
                 f"<{j}|{k}> = {inner!r}", abs(inner))
+        points.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_points", points)
 
     @property
     def dim(self) -> int:
@@ -141,8 +143,9 @@ class ObservableStructure:
         return cls(tuple(StateVector(arr[:, k], (d,)) for k in range(d)))
 
     def point_matrix(self) -> np.ndarray:
-        """Matrix whose k-th column is classical point k."""
-        return np.column_stack([v.amplitudes for v in self.basis])
+        """Matrix whose k-th column is classical point k (read-only, built
+        once by the constructor)."""
+        return self._points
 
 
 def classical_points(obs: ObservableStructure) -> list[StateVector]:

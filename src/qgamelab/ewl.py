@@ -8,7 +8,8 @@ permutations recovers an ordinary strategic-form game.
 
 Payoff tables are dense float arrays indexed (k_0, ..., k_{N-1}, player)
 by label position: one contraction runs the shared state through each
-player's stack of gates.  ``StrategicFormGame`` builds that array once, in
+player's stack of gates, and ``linalg.born_weights`` turns each block of
+final states into checked Born weights.  ``StrategicFormGame`` builds that array once, in
 its constructor, and Nash and Pareto scans and ``quantize`` read it; the
 scans read a spec's array as it comes out of the contraction.
 Label strings appear only where a table becomes a dict in product order
@@ -38,7 +39,7 @@ from .linalg import (
     LinearMap,
     StateVector,
     apply_on_wires,
-    born_probabilities,
+    born_weights,
     check_dims,
     from_matrix,
     ket,
@@ -264,22 +265,6 @@ def _final_states(spec: QuantumGameSpec, stacks):
         yield moved.reshape(-1, d ** n) @ unentangle
 
 
-def _weigh(finals: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Payoff rows of final states given as rows, Born rule checked.
-
-    Every state must be normalized within PROB_TOL, as in
-    ``born_probabilities``, which raises the same error.
-    """
-    probs = np.abs(finals) ** 2
-    totals = probs.sum(axis=1)
-    bad = np.flatnonzero(np.abs(totals - 1.0) > PROB_TOL)
-    if bad.size:
-        total = float(totals[bad[0]])
-        raise NormalizationError(
-            f"state is not normalized: sum |a_k|^2 = {total!r}", total)
-    return probs @ coeffs.T
-
-
 def _payoff_array(spec: QuantumGameSpec, labels) -> np.ndarray:
     """Payoffs of every profile over ``labels``: (k_0..k_{N-1}, player)."""
     stacks = [np.array([spec.strategy(i, lab).array for lab in per])
@@ -287,7 +272,7 @@ def _payoff_array(spec: QuantumGameSpec, labels) -> np.ndarray:
     out = np.empty((len(stacks[0]), math.prod(map(len, stacks[1:])),
                     spec.players))
     for block, finals in zip(out, _final_states(spec, stacks)):
-        block[:] = _weigh(finals, spec._coeffs)
+        block[:] = born_weights(finals) @ spec._coeffs.T
     return out.reshape(tuple(map(len, stacks)) + (spec.players,))
 
 
@@ -301,8 +286,9 @@ def final_state(spec: QuantumGameSpec, profile: Iterable[str]) -> StateVector:
 def play(spec: QuantumGameSpec, profile: Iterable[str]) -> ProfileResult:
     labels = tuple(profile)
     sigma = final_state(spec, labels)
-    dist = born_probabilities(sigma, tol=PROB_TOL)
-    (pay,) = _weigh(sigma.amplitudes[None], spec._coeffs)
+    probs = born_weights(sigma.amplitudes[None])
+    (pay,) = probs @ spec._coeffs.T
+    dist = dict(zip(outcome_labels(sigma.dims), probs[0].tolist()))
     return ProfileResult(labels, sigma, dist, tuple(pay.tolist()))
 
 
@@ -487,14 +473,13 @@ def quantize(classical: StrategicFormGame, embedding,
             seen[digit] = lab
         digit_to_label.append(seen)
 
-    coeffs = []
-    for i in range(n):
-        per: dict[str, float] = {}
-        for outcome in outcome_labels((dim,) * n):
-            profile = tuple(digit_to_label[j][int(c)]
-                            for j, c in enumerate(outcome))
-            per[outcome] = classical.payoffs[profile][i]
-        coeffs.append(per)
+    # outcome k_0..k_{N-1} pays what the labels sending |0> to them do
+    pay = classical._pay[np.ix_(*(
+        [labels.index(seen[k]) for k in range(dim)]
+        for labels, seen in zip(classical.strategy_labels, digit_to_label)))]
+    outcomes = outcome_labels((dim,) * n)
+    coeffs = [dict(zip(outcomes, pay[..., i].ravel().tolist()))
+              for i in range(n)]
 
     strategy_sets = []
     for i, labels in enumerate(classical.strategy_labels):

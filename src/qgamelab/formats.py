@@ -9,8 +9,12 @@ Loading is strict: unknown keys, wrong arities, or malformed numbers
 raise FormatError naming the offending location, and a table entry
 whose labels fall outside its game's domain (an unknown label, or a
 joint key with the wrong number of labels) is a FormatError naming the
-entry.  Dumping emits full float precision so a dump/load round trip
-reproduces equal objects.
+entry.  ``_built`` is the one place that rewords a constructor's
+GameLabError as a FormatError at its location, and it lets a
+DimensionLimitError through unchanged, for the CLI to exit 2; only
+``"entangler": "ewl"`` rewords its own two faults, of player count and
+dimension.  Dumping emits full float precision so a dump/load round
+trip reproduces equal objects.
 """
 
 from __future__ import annotations
@@ -100,6 +104,18 @@ def complex_from_json(value, where: str) -> complex:
                       f"{value!r}")
 
 
+def _built(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a GameLabError reworded as a
+    FormatError at ``where``.  A DimensionLimitError passes through as it
+    is, since the CLI gives it an exit status of its own."""
+    try:
+        return make(*args, **kwargs)
+    except DimensionLimitError:
+        raise
+    except GameLabError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def matrix_to_json(gate: LinearMap) -> list[list[list[float]]]:
     return [[complex_to_json(z) for z in row] for row in gate.array]
 
@@ -114,12 +130,8 @@ def matrix_from_json(rows, where: str, in_dims=None,
     check_dims((max(len(rows), len(rows[0])),), f"{where} rows or columns")
     entries = [[complex_from_json(v, f"{where}[{i}][{j}]")
                 for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    try:
-        return from_matrix(entries, in_dims=in_dims, out_dims=out_dims)
-    except DimensionLimitError:
-        raise
-    except GameLabError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    return _built(where, from_matrix, entries, in_dims=in_dims,
+                  out_dims=out_dims)
 
 
 def vector_to_json(state: StateVector) -> list[list[float]]:
@@ -266,18 +278,9 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
         entangled_state = vector_from_json(
             doc["entangled_state"], wire_dims, "entangled_state")
 
-    try:
-        return QuantumGameSpec(
-            players=players,
-            strategies=tuple(strategy_sets),
-            payoff_coeffs=coeffs,
-            entangler=entangler,
-            dim=dim,
-            initial_ket=str(doc.get("initial_ket", "")),
-            entangled_state=entangled_state,
-        )
-    except GameLabError as exc:
-        raise FormatError(f"ewl spec: {exc}") from exc
+    return _built("ewl spec", QuantumGameSpec, players, tuple(strategy_sets),
+                  coeffs, entangler, dim, str(doc.get("initial_ket", "")),
+                  entangled_state)
 
 
 def ewl_to_json(spec: QuantumGameSpec) -> dict:
@@ -344,10 +347,8 @@ def bayes_from_json(doc: Mapping) \
             table[(jt, js)] = _number(v, where)
         payoffs.append(table)
 
-    try:
-        game = BayesianGame(types, strategies, prior, tuple(payoffs))
-    except GameLabError as exc:
-        raise FormatError(f"bayes spec: {exc}") from exc
+    game = _built("bayes spec", BayesianGame, types, strategies, prior,
+                  tuple(payoffs))
 
     advice = None
     if "advice" in doc and doc["advice"] is not None:
@@ -401,11 +402,8 @@ def _classical_advice_from_json(doc: Mapping,
                 str(s): _number(v, f"{where}[{s!r}]")
                 for s, v in row.items()}
         responses.append(table)
-    try:
-        return ClassicalAdvice(game.types, game.strategies, lambdas, rho,
-                               tuple(responses))
-    except GameLabError as exc:
-        raise FormatError(f"advice: {exc}") from exc
+    return _built("advice", ClassicalAdvice, game.types, game.strategies,
+                  lambdas, rho, tuple(responses))
 
 
 def _quantum_advice_from_json(doc: Mapping,
@@ -459,11 +457,8 @@ def _quantum_advice_from_json(doc: Mapping,
             else:
                 raise FormatError(f"{where}: needs \"phase\" or \"basis\"")
         measurements.append(table)
-    try:
-        return QuantumAdvice(game.types, game.strategies, state,
-                             tuple(measurements))
-    except GameLabError as exc:
-        raise FormatError(f"advice: {exc}") from exc
+    return _built("advice", QuantumAdvice, game.types, game.strategies,
+                  state, tuple(measurements))
 
 
 def advice_to_json(advice) -> dict:

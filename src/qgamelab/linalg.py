@@ -27,6 +27,13 @@ array and what makes its rows distributions:
 - ``distributions`` checks every row of such a grid in one pass: finite,
   no weight below -``ALGEBRA_TOL`` (smaller negatives are clamped to 0),
   and unit mass within a tolerance.
+
+And it writes each remaining validation rule once:
+
+- ``check_domain`` names the keys of a table outside its domain.
+- ``born_weights`` applies the Born rule to a batch of states and checks
+  each is normalized.
+- ``orthonormal`` is the Gram test of a unitary or a measurement basis.
 """
 
 from __future__ import annotations
@@ -118,11 +125,22 @@ def table_grid(keys, table, what: str, fill=None) -> np.ndarray:
             f"{what} has no entry for {exc.args[0]}") from None
     # with every key found, a table of the same size has no other key
     if fill is not None or len(table) != len(values):
-        extra = set(table).difference(keys)
-        if extra:
-            raise DomainMismatchError(
-                f"{what} has entries outside its domain: {sorted(extra)[:4]}")
+        check_domain(table, keys, what)
     return np.fromiter(map(float, values), float, len(values))
+
+
+def check_domain(table, keys, what: str) -> None:
+    """Raise a DomainMismatchError naming up to four keys of ``table``
+    that are not among ``keys``: the least four, or the first four by
+    ``repr`` when the stray keys cannot be ordered among themselves."""
+    extra = set(table).difference(keys)
+    if extra:
+        try:
+            extra = sorted(extra)
+        except TypeError:
+            extra = sorted(extra, key=repr)
+        raise DomainMismatchError(
+            f"{what} has entries outside its domain: {extra[:4]}")
 
 
 def distributions(p: np.ndarray, what, keys,
@@ -254,10 +272,7 @@ class LinearMap:
                                      rtol=0.0, atol=tol)))
 
     def is_unitary(self, tol: float = PROB_TOL) -> bool:
-        if self.rows != self.cols:
-            return False
-        prod = self.array.conj().T @ self.array
-        return bool(np.abs(prod - np.eye(self.rows)).max() <= tol)
+        return self.rows == self.cols and orthonormal(self.array, tol)
 
 
 @dataclass(frozen=True)
@@ -467,15 +482,35 @@ def ket(digits: str, dim: int = 2) -> StateVector:
     return basis_state(index, (dim,) * len(values))
 
 
+def orthonormal(columns: np.ndarray, tol: float) -> bool:
+    """Whether the columns of ``columns`` are orthonormal: every entry of
+    |C^dag C - I| is at most ``tol``, and a NaN entry never is."""
+    gram = columns.conj().T @ columns
+    return bool(np.abs(gram - np.eye(columns.shape[1])).max() <= tol)
+
+
+def born_weights(amplitudes: np.ndarray,
+                 tol: float = PROB_TOL) -> np.ndarray:
+    """|a_k|^2 along the last axis of ``amplitudes``, one state per row.
+
+    The first row whose mass is off 1 by more than ``tol`` raises a
+    NormalizationError; a NaN mass is not off.
+    """
+    probs = np.abs(amplitudes) ** 2
+    totals = probs.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+    if bad.size:
+        total = float(totals.flat[bad[0]])
+        raise NormalizationError(
+            f"state is not normalized: sum |a_k|^2 = {total!r}", total)
+    return probs
+
+
 def born_probabilities(state: StateVector,
                        tol: float = PROB_TOL) -> dict[str, float]:
     """Measurement distribution |a_k|^2 keyed by basis index strings."""
-    total = state.squared_norm
-    if abs(total - 1.0) > tol:
-        raise NormalizationError(
-            f"state is not normalized: sum |a_k|^2 = {total!r}", total)
-    probs = np.abs(state.amplitudes) ** 2
-    return dict(zip(outcome_labels(state.dims), (float(p) for p in probs)))
+    probs = born_weights(state.amplitudes, tol)
+    return dict(zip(outcome_labels(state.dims), probs.tolist()))
 
 
 def states_phase_equal(a: StateVector, b: StateVector,
