@@ -424,6 +424,18 @@ def conditional_of(advice) -> ConditionalDistribution:
     raise TypeError(f"not advice: {advice!r}")
 
 
+def _bell_key(key):
+    """A coefficient key as a (joint type, joint strategy) pair of
+    tuples; a key that is not a pair of label sequences is kept as it is,
+    for the domain check to name."""
+    if isinstance(key, tuple) and len(key) == 2:
+        try:
+            return tuple(key[0]), tuple(key[1])
+        except TypeError:
+            pass
+    return key
+
+
 @dataclass(frozen=True)
 class BellExpression:
     """A linear functional sum alpha(s, X) p(s|X), with missing
@@ -439,7 +451,7 @@ class BellExpression:
         strategies = _label_lists(self.strategies, "strategy")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "strategies", strategies)
-        coeffs = {(tuple(k[0]), tuple(k[1])): float(v)
+        coeffs = {_bell_key(k): float(v)
                   for k, v in self.coefficients.items()}
         alpha = _grid(_cells(self), coeffs, "Bell expression", 0.0)
         if not np.isfinite(alpha).all():

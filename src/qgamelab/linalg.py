@@ -17,7 +17,9 @@ else builds an operator on a whole product space to apply a product:
 - ``tensor_in_place`` builds a Kronecker product in one zeroed
   allocation and writes, and checks to be finite, only its non-zero
   entries, so an identity factor costs one diagonal write and no
-  intermediate product.
+  intermediate product.  ``identity`` is its one-factor case.  Where the
+  platform allows it, that allocation is advised against huge pages, so
+  only the 4 KiB pages it writes become resident.
 
 It is also the one place that decides how a label-keyed table becomes an
 array and what makes its rows distributions:
@@ -38,9 +40,11 @@ And it writes each remaining validation rule once:
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -389,6 +393,31 @@ def swap_on_span(matrix: np.ndarray, before, dim: int) -> np.ndarray:
     return block.swapaxes(1, 2).reshape(matrix.shape)
 
 
+# A buffer smaller than one huge page can never be backed by one.
+_HUGE_PAGE = 2 ** 21
+if hasattr(mmap, "MADV_NOHUGEPAGE"):
+    _madvise = ctypes.CDLL(None).madvise
+    _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+else:
+    _madvise = None
+
+
+def _sparse_zeros(shape) -> np.ndarray:
+    """``np.zeros(shape, complex)`` for a result that will be written
+    sparsely: the page-aligned interior of a buffer of a huge page or more
+    is advised ``MADV_NOHUGEPAGE`` before any write, so each write faults
+    in one 4 KiB page and not a whole huge page.  The advice drops no
+    data, and a failed call changes nothing.  The buffer is numpy's own,
+    so tracemalloc counts it."""
+    out = np.zeros(shape, dtype=complex)
+    if _madvise is not None and out.nbytes >= _HUGE_PAGE:
+        page = mmap.PAGESIZE
+        start = -(-out.ctypes.data // page) * page
+        end = (out.ctypes.data + out.nbytes) // page * page
+        _madvise(start, end - start, mmap.MADV_NOHUGEPAGE)
+    return out
+
+
 def tensor_in_place(factors) -> np.ndarray:
     """Kronecker product of ``factors``; the first is the most significant.
 
@@ -416,7 +445,7 @@ def tensor_in_place(factors) -> np.ndarray:
             blocks.append(f)
     rows = tuple(b if isinstance(b, int) else b.shape[0] for b in blocks)
     cols = tuple(b if isinstance(b, int) else b.shape[1] for b in blocks)
-    out = np.zeros((math.prod(rows), math.prod(cols)), dtype=complex)
+    out = _sparse_zeros((math.prod(rows), math.prod(cols)))
     # Axes: every block's row digit, then each matrix's column digit; an
     # identity's row axis also steps its column digit, along the diagonal.
     step = out.reshape(rows + cols).strides
@@ -442,7 +471,8 @@ def tensor_in_place(factors) -> np.ndarray:
 def identity(dims) -> LinearMap:
     """Identity map; ``dims`` is a wire-dimension tuple (may be empty)."""
     dims = check_dims(dims, "dims")
-    return LinearMap(np.eye(math.prod(dims), dtype=complex), dims, dims)
+    return LinearMap._of_finite(tensor_in_place([math.prod(dims)]), dims,
+                                dims)
 
 
 def from_matrix(rows, in_dims=None, out_dims=None) -> LinearMap:

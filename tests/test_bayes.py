@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from functools import reduce
 
@@ -765,6 +766,15 @@ def test_non_finite_numbers_are_rejected():
             ConditionalDistribution(game.types, game.strategies, {
                 jt: {**row, ("0", "0"): bad} if jt == ("1", "1")
                 else row for jt in game.joint_types()})
+
+
+@pytest.mark.parametrize("key", [5, ("0",), (("0", "0"),), "ab"])
+def test_bell_keys_that_are_not_pairs_are_outside_the_domain(key):
+    e = chsh_expression()
+    message = (r"^Bell expression has entries outside its domain: "
+               + re.escape(repr([key])) + "$")
+    with pytest.raises(DomainMismatchError, match=message):
+        BellExpression(e.types, e.strategies, {**e.coefficients, key: 1.0})
 
 
 def test_from_payoff_rejects_an_unknown_player():

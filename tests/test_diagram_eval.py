@@ -1,5 +1,7 @@
 import itertools
 import math
+import mmap
+import os
 import tracemalloc
 import warnings
 from functools import reduce
@@ -627,6 +629,42 @@ def test_lone_par_checks_only_the_entries_it_writes():
         tracemalloc.stop()
     assert out.array.nbytes == result_bytes
     assert peak < 1.02 * result_bytes
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        return int(statm.read().split()[1]) * mmap.PAGESIZE
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm")
+                    or not hasattr(mmap, "MADV_NOHUGEPAGE"),
+                    reason="needs /proc/self/statm and MADV_NOHUGEPAGE")
+def test_lone_par_makes_only_its_written_pages_resident():
+    # 11 wires at d = 2: the 2048 x 2048 result is 64 MiB, with one 2 x 2
+    # block per pair of 32 KiB rows, so its writes reach one 4 KiB page in
+    # eight; on huge pages they would reach every page
+    result_bytes = 16 * 2 ** 22
+    tracemalloc.start()
+    try:
+        before = _resident_bytes()
+        out = evaluate(parse("id(10) * spider(1,1,0.3)"), X)
+        grown = _resident_bytes() - before
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.array.nbytes == result_bytes
+    assert grown < result_bytes / 4
+    # a buffer hidden from tracemalloc would pass the check above alone
+    assert peak >= result_bytes
+
+
+def test_identity_is_the_unit_matrix_and_read_only():
+    out = identity((2,) * 11)
+    assert out.in_dims == out.out_dims == (2,) * 11
+    assert out.array.dtype == complex
+    assert np.array_equal(out.array, np.eye(2048))
+    assert not out.array.flags.writeable
+    assert identity(()).array.tolist() == [[1]]
 
 
 def test_lone_par_raises_with_no_warning_first():
