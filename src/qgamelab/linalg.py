@@ -398,6 +398,7 @@ _HUGE_PAGE = 2 ** 21
 if hasattr(mmap, "MADV_NOHUGEPAGE"):
     _madvise = ctypes.CDLL(None).madvise
     _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    _madvise.restype = ctypes.c_int
 else:
     _madvise = None
 
@@ -406,7 +407,7 @@ def _sparse_zeros(shape) -> np.ndarray:
     """``np.zeros(shape, complex)`` for a result that will be written
     sparsely: the page-aligned interior of a buffer of a huge page or more
     is advised ``MADV_NOHUGEPAGE`` before any write, so each write faults
-    in one 4 KiB page and not a whole huge page.  The advice drops no
+    in one base page (4 KiB on x86-64) and not a whole huge page.  The advice drops no
     data, and a failed call changes nothing.  The buffer is numpy's own,
     so tracemalloc counts it."""
     out = np.zeros(shape, dtype=complex)
