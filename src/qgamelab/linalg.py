@@ -430,8 +430,11 @@ def tensor_in_place(factors) -> np.ndarray:
     factor, and a result that fits in memory has far fewer than 32
     factors that are not 1 x 1, so numpy's 64-axis limit is never met.
 
-    Only the written entries are checked to be finite, through the same
-    view, so the check costs as much as the writes.
+    Only the matrices' product is checked to be finite, since the view
+    holds nothing else, so the check costs no more than the writes.
+    Beside an identity, a zero of that product is not written, even
+    where a matrix factor has it, so the pages a result makes resident
+    depend on its non-zero pattern alone; a negative zero reads as +0.
     """
     scalar, blocks = 1, []      # blocks: identity sizes and matrices
     for f in factors:
@@ -462,10 +465,18 @@ def tensor_in_place(factors) -> np.ndarray:
         shape[j], shape[k + n] = blocks[j].shape
         operands.append(blocks[j].reshape(shape))
     *head, last = operands
+    # With no identity block the view is the whole result, so the entries
+    # are computed in it; otherwise they are the matrices' product alone,
+    # which the view repeats along each identity's diagonal.
+    entries = view if len(dense) == k else None
     # an overflow or NaN is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(functools.reduce(np.multiply, head, 1), last, out=view)
-    _check_finite(view, "entries")
+        entries = np.multiply(functools.reduce(np.multiply, head, 1), last,
+                              out=entries)
+    _check_finite(entries, "entries")
+    if entries is not view:
+        # a zero is left unwritten, so a page of zeros is never touched
+        np.copyto(view, entries, where=entries != 0)
     return out
 
 

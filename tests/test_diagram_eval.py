@@ -658,6 +658,23 @@ def test_lone_par_makes_only_its_written_pages_resident():
     assert peak >= result_bytes
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm")
+                    or not hasattr(mmap, "MADV_NOHUGEPAGE"),
+                    reason="needs /proc/self/statm and MADV_NOHUGEPAGE")
+def test_lone_par_leaves_the_zeros_of_dense_factors_unwritten():
+    # 11 wires at d = 2: two swaps on the top wires are a 16 x 16 block
+    # with one non-zero per row, so each 32 KiB row of the 64 MiB result
+    # gets one write; writing the block's zeros would reach every page
+    result_bytes = 16 * 2 ** 22
+    before = _resident_bytes()
+    out = evaluate(parse("swap * swap * id(7)"), Z)
+    grown = _resident_bytes() - before
+    assert out.array.nbytes == result_bytes
+    assert grown < result_bytes / 4
+    assert np.array_equal(out.array, np.kron(
+        np.kron(swap_map(2).array, swap_map(2).array), np.eye(2 ** 7)))
+
+
 def test_identity_is_the_unit_matrix_and_read_only():
     out = identity((2,) * 11)
     assert out.in_dims == out.out_dims == (2,) * 11
