@@ -9,18 +9,25 @@ linear functionals on those conditionals; with coefficients mu(X) *
 P_i(X, s) the Bell value of player i's expression is exactly their
 average payoff.
 
-Each constructor lays its label-keyed tables out with ``_grid``
-(``linalg.table_grid``) as float arrays with axes (X_1..X_N, S_1..S_N) in
-label order, and checks every table of distributions in one
+The domain, per-player types x strategies, is written once, in
+``_Domain``: its label checks, the rule of one strategy list per type
+list, the joint labels, the grid shape and the same-domain check.  The
+game, both kinds of advice, the conditional and the Bell expression all
+derive from it.  Each constructor lays its label-keyed tables out with
+``_grid`` (``linalg.table_grid``) as float arrays with axes (X_1..X_N,
+S_1..S_N) in label order, and checks every table of distributions in one
 ``linalg.distributions`` pass on that grid.  It keeps the grid privately:
-a game its coefficients mu(X) P_i(X, s) per player, an expression its
-coefficients, a conditional its probabilities.  The public dicts are read
-back from the checked grids, and a key outside a table's domain is
-named by ``linalg.check_domain``, as in ``_grid``; a measurement basis
-must pass ``linalg.orthonormal``.  Each advice object reduces to its
-conditional once, straight from the reduction's array through
-``ConditionalDistribution._of_grid``, and keeps it.  Payoffs, Bell values
-and every search read those stored arrays.
+a game its prior, payoffs and coefficients mu(X) P_i(X, s) per player,
+classical advice its response tables, an expression its coefficients, a
+conditional its probabilities.  The public dicts are read back from the
+checked grids, and a key outside a table's domain is named by
+``linalg.check_domain``, as in ``_grid``; a measurement basis must pass
+``linalg.orthonormal``.  ``_Domain._of_grid`` is the one path from a
+grid: it builds a conditional or an expression from an array with every
+check of the constructor run on the array itself.  Each advice object
+reduces to its conditional once through it, a game's payoff becomes an
+expression through it, and no grid goes through a label-keyed dict on
+the way.  Payoffs, Bell values and every search read the stored arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,7 +47,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, apply_on_wires,
-                     check_dims, check_domain, distributions, orthonormal)
+                     check_domain, check_wires, distributions, orthonormal)
 from .linalg import table_grid as _grid
 
 EQUILIBRIUM_TOL = 1e-9
@@ -81,54 +88,35 @@ def _rows(keys: list, cols, table: Mapping, what: str,
                  0.0).reshape(len(keys), -1)
 
 
-def _cells(domain) -> list[tuple[JointLabels, JointLabels]]:
-    """Every (joint type, joint strategy) of a domain, in grid order."""
-    return list(itertools.product(itertools.product(*domain.types),
-                                  itertools.product(*domain.strategies)))
-
-
-def _shape(domain) -> tuple[int, ...]:
-    return tuple(len(x) for x in domain.types + domain.strategies)
-
-
 @dataclass(frozen=True)
-class BayesianGame:
-    """Prior over joint types plus per-player payoffs on the full domain."""
+class _Domain:
+    """Per-player types x strategies, the one domain a game, its advice,
+    their conditional and every Bell expression live on.  Its grids have
+    axes (X_1..X_N, S_1..S_N) in label order."""
 
     types: tuple[Labels, ...]
     strategies: tuple[Labels, ...]
-    prior: Mapping[JointLabels, float]
-    payoffs: tuple[Mapping[tuple[JointLabels, JointLabels], float], ...]
 
     def __post_init__(self):
         types = _label_lists(self.types, "type")
         strategies = _label_lists(self.strategies, "strategy")
-        n = len(types)
-        if n != len(strategies):
+        if len(types) != len(strategies):
             raise DomainMismatchError(
-                f"{n} type sets but {len(strategies)} strategy sets")
+                f"{len(types)} type sets but {len(strategies)} strategy sets")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "strategies", strategies)
 
-        joint_types = list(itertools.product(*types))
-        prior = _distribution(joint_types, self.prior, "prior")
-        object.__setattr__(self, "prior", prior)
-
-        if len(self.payoffs) != n:
-            raise DomainMismatchError(
-                f"{len(self.payoffs)} payoff tables for {n} players")
-        cells = _cells(self)
-        pay = np.array([_grid(cells, raw, f"player {i} payoff table")
-                        for i, raw in enumerate(self.payoffs)])
-        if not np.isfinite(pay).all():
-            i = np.isfinite(pay).all(axis=1).argmin()
-            raise DomainMismatchError(f"player {i} has a non-finite payoff")
-        object.__setattr__(self, "payoffs", tuple(
-            dict(zip(cells, row)) for row in pay.tolist()))
-        # player i's Bell coefficients mu(X) P_i(X, s), stacked on axis 0
-        shape = _shape(self)
-        mu = np.reshape(list(prior.values()), shape[:n] + (1,) * n)
-        object.__setattr__(self, "_alphas", mu * pay.reshape((n,) + shape))
+    @classmethod
+    def _of_grid(cls, domain: "_Domain", grid: np.ndarray):
+        """The object on ``domain``'s labels whose grid is ``grid``: every
+        check of the constructor runs on ``grid`` itself, with no
+        label-keyed table in between, and every other field is None."""
+        new = cls.__new__(cls)
+        vars(new).update(dict.fromkeys(f.name for f in fields(cls)),
+                         types=domain.types, strategies=domain.strategies,
+                         _unchecked=grid)
+        new.__post_init__()
+        return new
 
     @property
     def players(self) -> int:
@@ -139,6 +127,53 @@ class BayesianGame:
 
     def joint_strategies(self) -> list[JointLabels]:
         return list(itertools.product(*self.strategies))
+
+    def _cells(self) -> list[tuple[JointLabels, JointLabels]]:
+        """Every (joint type, joint strategy), in grid order."""
+        return list(itertools.product(self.joint_types(),
+                                      self.joint_strategies()))
+
+    def _shape(self) -> tuple[int, ...]:
+        return tuple(len(x) for x in self.types + self.strategies)
+
+    def _check_same_domain(self, other: "_Domain", what: str) -> None:
+        if self.types != other.types or self.strategies != other.strategies:
+            raise DomainMismatchError(
+                f"{what}: domains disagree ({self.types} x {self.strategies}"
+                f" vs {other.types} x {other.strategies})")
+
+
+@dataclass(frozen=True)
+class BayesianGame(_Domain):
+    """Prior over joint types plus per-player payoffs on the full domain."""
+
+    prior: Mapping[JointLabels, float]
+    payoffs: tuple[Mapping[tuple[JointLabels, JointLabels], float], ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.players
+        prior = _distribution(self.joint_types(), self.prior, "prior")
+        object.__setattr__(self, "prior", prior)
+
+        if len(self.payoffs) != n:
+            raise DomainMismatchError(
+                f"{len(self.payoffs)} payoff tables for {n} players")
+        cells = self._cells()
+        pay = np.array([_grid(cells, raw, f"player {i} payoff table")
+                        for i, raw in enumerate(self.payoffs)])
+        if not np.isfinite(pay).all():
+            i = np.isfinite(pay).all(axis=1).argmin()
+            raise DomainMismatchError(f"player {i} has a non-finite payoff")
+        object.__setattr__(self, "payoffs", tuple(
+            dict(zip(cells, row)) for row in pay.tolist()))
+        # the prior mu(X), the payoffs P_i(X, s) stacked on axis 0, and
+        # player i's Bell coefficients mu(X) P_i(X, s)
+        shape = self._shape()
+        mu = np.reshape(list(prior.values()), shape[:n] + (1,) * n)
+        object.__setattr__(self, "_mu", mu)
+        object.__setattr__(self, "_pay", pay.reshape((n,) + shape))
+        object.__setattr__(self, "_alphas", mu * self._pay)
 
     @classmethod
     def from_nature(cls, nature_states: Sequence[str],
@@ -168,20 +203,15 @@ def _ordered_values(tau: Mapping[str, str], omega: list[str]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class ConditionalDistribution:
+class ConditionalDistribution(_Domain):
     """A table p(s_1..s_N | X_1..X_N), one distribution per joint type."""
 
-    types: tuple[Labels, ...]
-    strategies: tuple[Labels, ...]
     table: Mapping[JointLabels, Mapping[JointLabels, float]]
 
     def __post_init__(self):
-        types = _label_lists(self.types, "type")
-        strategies = _label_lists(self.strategies, "strategy")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "strategies", strategies)
-        joint_types = list(itertools.product(*types))
-        joint_strategies = list(itertools.product(*strategies))
+        super().__post_init__()
+        joint_types = self.joint_types()
+        joint_strategies = self.joint_strategies()
         names = [f"p(s | {jt})" for jt in joint_types]
         p = vars(self).pop("_unchecked", None)  # set only by _of_grid
         if p is None:
@@ -193,22 +223,7 @@ class ConditionalDistribution:
         object.__setattr__(self, "table", {
             jt: dict(zip(joint_strategies, row))
             for jt, row in zip(joint_types, rows.tolist())})
-        object.__setattr__(self, "_p", rows.reshape(_shape(self)))
-
-    @classmethod
-    def _of_grid(cls, domain, p: np.ndarray) -> "ConditionalDistribution":
-        """The conditional whose grid is ``p``, with axes (X_1..X_N,
-        S_1..S_N), on ``domain``'s labels: every check of the constructor
-        runs on ``p`` itself, with no label-keyed table in between."""
-        new = cls.__new__(cls)
-        vars(new).update(types=domain.types, strategies=domain.strategies,
-                         table=None, _unchecked=p)
-        new.__post_init__()
-        return new
-
-    @property
-    def players(self) -> int:
-        return len(self.types)
+        object.__setattr__(self, "_p", rows.reshape(self._shape()))
 
     def prob(self, joint_type: JointLabels,
              joint_strategy: JointLabels) -> float:
@@ -250,21 +265,17 @@ class ConditionalDistribution:
 
 
 @dataclass(frozen=True)
-class ClassicalAdvice:
+class ClassicalAdvice(_Domain):
     """A shared variable lambda ~ rho plus local response tables
     p(s_i | X_i, lambda)."""
 
-    types: tuple[Labels, ...]
-    strategies: tuple[Labels, ...]
     lambdas: Labels
     rho: Mapping[str, float]
     responses: tuple[Mapping[tuple[str, str], Mapping[str, float]], ...]
 
     def __post_init__(self):
-        types = _label_lists(self.types, "type")
-        strategies = _label_lists(self.strategies, "strategy")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "strategies", strategies)
+        super().__post_init__()
+        types, strategies = self.types, self.strategies
         lambdas = tuple(str(v) for v in self.lambdas)
         if not lambdas or len(set(lambdas)) != len(lambdas):
             raise DomainMismatchError("lambda values must be nonempty and "
@@ -277,32 +288,35 @@ class ClassicalAdvice:
             raise DomainMismatchError(
                 f"{len(self.responses)} response tables for {len(types)} "
                 f"players")
-        tables = []
+        tables, grids = [], []
         for i, (raw, s_i) in enumerate(zip(self.responses, strategies)):
             keys = list(itertools.product(types[i], lambdas))
             names = [f"p(s | {x}, {lam}) of player {i}" for x, lam in keys]
             p = _rows(keys, s_i, raw, f"player {i} response table",
                       lambda k: f"player {i} has no response row for type "
                                 f"{k[0]!r}, lambda {k[1]!r}")
-            rows = distributions(p, names, s_i).tolist()
+            rows = distributions(p, names, s_i)
             tables.append({k: dict(zip(s_i, row))
-                           for k, row in zip(keys, rows)})
+                           for k, row in zip(keys, rows.tolist())})
+            grids.append(rows.reshape(len(types[i]), len(lambdas), -1))
         object.__setattr__(self, "responses", tuple(tables))
+        # player i's p(s_i | X_i, lambda), with axes (X_i, lambda, S_i)
+        object.__setattr__(self, "_responses", tuple(grids))
 
     @classmethod
     def deterministic(cls, types, strategies,
                       response_maps: Sequence[Mapping[str, str]]) \
             -> "ClassicalAdvice":
         """Singleton-lambda advice from per-player maps type -> strategy."""
-        types = _label_lists(types, "type")
-        strategies = _label_lists(strategies, "strategy")
+        domain = _Domain(types, strategies)
         # a map without a type, or one map too many or too few, is left
         # for the constructor to report
         responses = tuple(
             {(x, "0"): {str(fn[x]): 1.0} for x in xs if x in fn}
-            for fn, xs in itertools.zip_longest(response_maps, types,
+            for fn, xs in itertools.zip_longest(response_maps, domain.types,
                                                 fillvalue=()))
-        return cls(types, strategies, ("0",), {"0": 1.0}, responses)
+        return cls(domain.types, domain.strategies, ("0",), {"0": 1.0},
+                   responses)
 
     @functools.cached_property
     def _conditional(self) -> ConditionalDistribution:
@@ -311,14 +325,14 @@ class ClassicalAdvice:
 
 def classical_conditional(advice: ClassicalAdvice) -> ConditionalDistribution:
     """p(s|X) = sum_lambda rho(lambda) prod_i p(s_i | X_i, lambda) in one
-    einsum; a label per player (S_i X_i) fits numpy's 52 up to 32 players."""
-    n, lams = len(advice.types), advice.lambdas
-    operands, sizes = [np.array([advice.rho[lam] for lam in lams]), [n]], []
-    for i, (table, x_i, s_i) in enumerate(zip(
-            advice.responses, advice.types, advice.strategies)):
-        rows = [[table[(x, lam)][s] for s in s_i for x in x_i] for lam in lams]
-        operands += [np.array(rows), [n, i]]
-        sizes += len(s_i), len(x_i)
+    einsum over the checked response grids; a label per player (S_i X_i)
+    fits numpy's 52 up to 32 players."""
+    n = advice.players
+    operands, sizes = [np.array(list(advice.rho.values())), [n]], []
+    for i, grid in enumerate(advice._responses):
+        x_i, lam, s_i = grid.shape
+        operands += [grid.transpose(1, 2, 0).reshape(lam, -1), [n, i]]
+        sizes += s_i, x_i
     p = np.einsum(*operands, list(range(n))).reshape(sizes)
     return ConditionalDistribution._of_grid(
         advice, np.moveaxis(p, range(1, 2 * n, 2), range(n)))
@@ -333,21 +347,16 @@ def phase_basis(alpha: float) -> tuple[StateVector, StateVector]:
 
 
 @dataclass(frozen=True)
-class QuantumAdvice:
+class QuantumAdvice(_Domain):
     """A shared state plus, per player and type, a measurement basis
     whose outcome k is announced as that player's k-th strategy label."""
 
-    types: tuple[Labels, ...]
-    strategies: tuple[Labels, ...]
     shared_state: StateVector
     measurements: tuple[Mapping[str, tuple[StateVector, ...]], ...]
 
     def __post_init__(self):
-        types = _label_lists(self.types, "type")
-        strategies = _label_lists(self.strategies, "strategy")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "strategies", strategies)
-        n = len(types)
+        super().__post_init__()
+        types, strategies, n = self.types, self.strategies, self.players
         if len(self.shared_state.dims) != n:
             raise ShapeMismatchError(
                 f"shared state has {len(self.shared_state.dims)} wires for "
@@ -406,7 +415,7 @@ class QuantumAdvice:
 def quantum_conditional(advice: QuantumAdvice) -> ConditionalDistribution:
     """Born rule: p(s|X) = |<b_{X_1 s_1} x ... x b_{X_N s_N} | psi>|^2, with
     player i's bras stacked as (S_i, d_i, X_i): wire i leaves (S_i, X_i)."""
-    n = len(advice.types)
+    n = advice.players
     psi = advice.shared_state.amplitudes.reshape(advice.shared_state.dims)
     bras = [np.stack([[b.amplitudes for b in per[x]] for x in x_i], -1).conj()
             for per, x_i in zip(advice.measurements, advice.types)]
@@ -437,27 +446,26 @@ def _bell_key(key):
 
 
 @dataclass(frozen=True)
-class BellExpression:
+class BellExpression(_Domain):
     """A linear functional sum alpha(s, X) p(s|X), with missing
     coefficients read as 0."""
 
-    types: tuple[Labels, ...]
-    strategies: tuple[Labels, ...]
     coefficients: Mapping[tuple[JointLabels, JointLabels], float]
     bound: float | None = None
 
     def __post_init__(self):
-        types = _label_lists(self.types, "type")
-        strategies = _label_lists(self.strategies, "strategy")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "strategies", strategies)
-        coeffs = {_bell_key(k): float(v)
-                  for k, v in self.coefficients.items()}
-        alpha = _grid(_cells(self), coeffs, "Bell expression", 0.0)
+        super().__post_init__()
+        alpha = vars(self).pop("_unchecked", None)  # set only by _of_grid
+        if alpha is None:
+            coeffs = {_bell_key(k): float(v)
+                      for k, v in self.coefficients.items()}
+            alpha = _grid(self._cells(), coeffs, "Bell expression", 0.0)
+        else:
+            coeffs = dict(zip(self._cells(), alpha.ravel().tolist()))
         if not np.isfinite(alpha).all():
             raise DomainMismatchError("a coefficient is not finite")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "_alpha", alpha.reshape(_shape(self)))
+        object.__setattr__(self, "_alpha", alpha.reshape(self._shape()))
         if self.bound is not None:
             object.__setattr__(self, "bound", float(self.bound))
 
@@ -474,30 +482,21 @@ class BellExpression:
             raise DomainMismatchError(
                 f"player {player} is out of range for {game.players} "
                 f"players")
-        return cls(game.types, game.strategies, {
-            key: game.prior[key[0]] * p
-            for key, p in game.payoffs[player].items()})
-
-
-def _check_same_domain(a, b, what: str) -> None:
-    if a.types != b.types or a.strategies != b.strategies:
-        raise DomainMismatchError(
-            f"{what}: domains disagree ({a.types} x {a.strategies} vs "
-            f"{b.types} x {b.strategies})")
+        return cls._of_grid(game, game._alphas[player])
 
 
 def average_payoff(game: BayesianGame, advice) -> tuple[float, ...]:
     """F_i = sum_X mu(X) sum_s p(s|X) P_i(X, s) for every player: the Bell
     value of player i's coefficients, summed in the same order."""
     cond = conditional_of(advice)
-    _check_same_domain(game, cond, "average_payoff")
+    game._check_same_domain(cond, "average_payoff")
     return tuple(float((alpha * cond._p).sum()) for alpha in game._alphas)
 
 
 def bell_value(expr: BellExpression, advice) -> float:
     """The functional sum alpha(s, X) p(s|X)."""
     cond = conditional_of(advice)
-    _check_same_domain(expr, cond, "bell_value")
+    expr._check_same_domain(cond, "bell_value")
     return float((expr._alpha * cond._p).sum())
 
 
@@ -612,10 +611,8 @@ def certify_payoff_inequality(game: BayesianGame,
     Returns (certified, classical maximum of the left-hand side).
     """
     beta0, betas = _split_inequality(game, inequality)
-    expr = BellExpression(game.types, game.strategies, {
-        key: game.prior[key[0]] * sum(
-            b * table[key] for b, table in zip(betas, game.payoffs))
-        for key in game.payoffs[0]})
+    expr = BellExpression._of_grid(
+        game, game._mu * sum(b * p for b, p in zip(betas, game._pay)))
     best = classical_bound(expr, limit)
     return best <= beta0 + tol, best
 
@@ -635,7 +632,7 @@ def ghz_state(n: int, dim: int = 2) -> StateVector:
     """(|0..0> + ... + |(d-1)..(d-1)>)/sqrt d on n wires."""
     if n < 1:
         raise DomainMismatchError("need at least one wire")
-    dims = check_dims((dim,) * n, "dims")
+    dims = check_wires(dim, n, "dims")
     stride = sum(dim ** j for j in range(n))  # |k..k> is at k * stride
     amps = np.zeros(math.prod(dims), dtype=complex)
     amps[np.arange(dim) * stride] = 1 / math.sqrt(dim)
@@ -674,13 +671,15 @@ def parity(outcomes) -> int:
 def ghz_phase_distribution(n: int, phases: Sequence[float]) \
         -> dict[str, float]:
     """Phase measurements on GHZ^n: P(s) = (1 + (-1)^parity(s)
-    cos(sum alpha)) / 2^n over all bit strings s."""
+    cos(sum alpha)) / 2^n over all bit strings s, capped like
+    ``ghz_state``."""
     if n < 2:
         raise DomainMismatchError(f"need at least 2 parties, got {n}")
     alphas = [float(a) for a in phases]
     if len(alphas) != n:
         raise DomainMismatchError(
             f"{len(alphas)} phases for {n} parties")
+    check_wires(2, n, "outcome dims")
     c = math.cos(math.fsum(alphas))
     out = {}
     for bits in itertools.product("01", repeat=n):
@@ -784,7 +783,7 @@ def is_advised_equilibrium(game: BayesianGame, advice,
     gain beats the running best (starting at 0) by more than ``tol``.
     """
     cond = conditional_of(advice)
-    _check_same_domain(game, cond, "is_advised_equilibrium")
+    game._check_same_domain(cond, "is_advised_equilibrium")
     for i, (x_i, s_i) in enumerate(zip(game.types, game.strategies)):
         count = len(s_i) ** (len(x_i) * len(s_i))
         if count > limit:

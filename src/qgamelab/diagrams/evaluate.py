@@ -18,6 +18,7 @@ from ..linalg import (
     apply_on_span,
     apply_on_wires,
     check_dims,
+    check_wires,
     identity,
     swap_on_span,
     tensor_in_place,
@@ -55,8 +56,8 @@ def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
                 f"phase over {phase.dim} points used with a dimension-{d} "
                 f"observable")
         weights = phase.weights()
-    in_dims = check_dims((d,) * inputs, "spider input dims")
-    out_dims = check_dims((d,) * outputs, "spider output dims")
+    in_dims = check_wires(d, inputs, "spider input dims")
+    out_dims = check_wires(d, outputs, "spider output dims")
     points = obs.point_matrix()
     arr = (_on_every_leg(points, outputs) * weights) \
         @ _on_every_leg(points.conj(), inputs).T
@@ -88,7 +89,7 @@ def ket_map(obs: ObservableStructure, digits: str) -> LinearMap:
         if int(c) >= d:
             raise ShapeMismatchError(
                 f"ket digit {c} out of range for dimension {d}")
-    out_dims = check_dims((d,) * len(digits), "ket dims")
+    out_dims = check_wires(d, len(digits), "ket dims")
     points = obs.point_matrix()
     col = apply_on_wires([points[:, [int(c)]] for c in digits],
                          np.ones((1,) * len(digits), dtype=complex))
@@ -143,7 +144,7 @@ class _Evaluation:
         return self.atoms[term]
 
     def _dims(self, wires: int, what: str) -> tuple[int, ...]:
-        return check_dims((self.obs.dim,) * wires, what)
+        return check_wires(self.obs.dim, wires, what)
 
     def _seq(self, stages) -> LinearMap:
         first = self.map(stages[0])
@@ -215,7 +216,7 @@ class _Evaluation:
 
 def _atom_map(term: DiagramTerm, obs: ObservableStructure) -> LinearMap:
     if isinstance(term, Id):
-        return identity((obs.dim,) * term.wires)
+        return identity(check_wires(obs.dim, term.wires, "dims"))
     if isinstance(term, Spider):
         return spider_map(obs, term.inputs, term.outputs, term.phase)
     if isinstance(term, Cup):

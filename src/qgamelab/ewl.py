@@ -40,7 +40,7 @@ from .linalg import (
     StateVector,
     apply_on_wires,
     born_weights,
-    check_dims,
+    check_wires,
     from_matrix,
     ket,
     outcome_labels,
@@ -224,7 +224,7 @@ def ewl_entangler(n_players: int, dim: int = 2) -> LinearMap:
             f"dimension {dim}")
     if n_players < 2:
         raise DomainMismatchError("the entangler couples at least 2 players")
-    dims = check_dims((2,) * n_players, "entangler dims")
+    dims = check_wires(2, n_players, "entangler dims")
     size = 2 ** n_players
     arr = np.identity(size, dtype=complex)
     arr += 1j * np.flip(np.identity(size, dtype=complex), axis=1)

@@ -46,6 +46,7 @@ from .linalg import (
     LinearMap,
     StateVector,
     check_dims,
+    check_wires,
     from_matrix,
 )
 
@@ -211,7 +212,6 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
         raise FormatError(f"ewl spec: kind is {doc.get('kind')!r}")
     players = _int(_require(doc, "players", "ewl spec"), "players", 1)
     dim = _int(doc.get("dim", 2), "dim", 2)
-    wire_dims = (dim,) * players
 
     raw_ent = _require(doc, "entangler", "ewl spec")
     if raw_ent == "ewl":
@@ -223,8 +223,12 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
         _check_keys(raw_ent, {"matrix"}, "entangler")
         entangler = matrix_from_json(_require(raw_ent, "matrix",
                                               "entangler"),
-                                     "entangler.matrix",
-                                     in_dims=wire_dims, out_dims=wire_dims)
+                                     "entangler.matrix")
+        # the wire count is checked after the matrix's own size, as the
+        # constructor's in_dims check would be
+        wire_dims = check_wires(dim, players, "in_dims")
+        entangler = _built("entangler.matrix", LinearMap._of_finite,
+                           entangler.array, wire_dims, wire_dims)
     else:
         raise FormatError(
             f"entangler: expected \"ewl\" or an object with a matrix, "
@@ -276,7 +280,7 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
     entangled_state = None
     if "entangled_state" in doc:
         entangled_state = vector_from_json(
-            doc["entangled_state"], wire_dims, "entangled_state")
+            doc["entangled_state"], entangler.in_dims, "entangled_state")
 
     return _built("ewl spec", QuantumGameSpec, players, tuple(strategy_sets),
                   coeffs, entangler, dim, str(doc.get("initial_ket", "")),

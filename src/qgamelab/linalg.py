@@ -92,6 +92,21 @@ def check_dims(dims, what: str) -> tuple[int, ...]:
     return dims
 
 
+def check_wires(d: int, n: int, what: str) -> tuple[int, ...]:
+    """``check_dims((d,) * n, what)``, with a huge count refused by
+    arithmetic before the tuple is built: for d > 1, a d**n that is
+    surely over the cap and has 4096 bits or more; for d = 1, more wires
+    than the cap, since the tuple itself would be that long."""
+    d, n = int(d), int(n)
+    # d**n >= 2**(n * (bits of d - 1)), and the cap is below 2**(its bits)
+    if n > _dimension_limit if d <= 1 else n * (d.bit_length() - 1) >= \
+            max(_dimension_limit.bit_length(), 4096):
+        raise DimensionLimitError(
+            f"{what}: {n} wires of dimension {d} exceed the configured "
+            f"limit {_dimension_limit}")
+    return check_dims((d,) * n, what)
+
+
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite (no NaN/Inf)")

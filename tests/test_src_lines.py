@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
@@ -45,3 +46,31 @@ def test_main_prints_every_file_and_a_total(tmp_path, capsys):
     assert [r.split()[:2] for r in rows] == [["2", "1"], ["20", "8"],
                                             ["22", "9"]]
     assert rows[-1].endswith("total")
+
+
+def test_against_prints_each_file_at_a_revision_and_now(tmp_path, capsys):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@example.com",
+                        "-c", "commit.gpgsign=false", *args],
+                       check=True, capture_output=True)
+
+    src = tmp_path / "src"
+    (src / "pkg").mkdir(parents=True)
+    (src / "kept.py").write_text("x = 1\n")
+    (src / "gone.py").write_text("a = 1\nb = 2\n")
+    (src / "pkg" / "b.py").write_text(SOURCE)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (src / "kept.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (src / "gone.py").unlink()
+    (src / "new.py").write_text("# only a comment\nw = 0\n")
+    assert src_lines.main(["src_lines.py", "--against", "HEAD",
+                           str(src)]) == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()]
+    assert rows == [["2", "0", "-2", str(src / "gone.py")],
+                    ["1", "3", "+2", str(src / "kept.py")],
+                    ["0", "1", "+1", str(src / "new.py")],
+                    ["8", "8", "+0", str(src / "pkg" / "b.py")],
+                    ["11", "12", "+1", "total"]]
