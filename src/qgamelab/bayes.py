@@ -22,12 +22,15 @@ classical advice its response tables, an expression its coefficients, a
 conditional its probabilities.  The public dicts are read back from the
 checked grids, and a key outside a table's domain is named by
 ``linalg.check_domain``, as in ``_grid``; a measurement basis must pass
-``linalg.orthonormal``.  ``_Domain._of_grid`` is the one path from a
-grid: it builds a conditional or an expression from an array with every
-check of the constructor run on the array itself.  Each advice object
-reduces to its conditional once through it, a game's payoff becomes an
-expression through it, and no grid goes through a label-keyed dict on
-the way.  Payoffs, Bell values and every search read the stored arrays.
+``linalg.orthonormal``, all of a player's bases in one stacked product.
+``_Domain._of_grid`` is the one path from a grid: it builds a game,
+classical advice, a conditional or an expression from arrays on a
+checked domain, with every other check of the constructor run on the
+arrays themselves.  The loader builds games and classical advice
+through it, each advice object reduces to its conditional once through
+it, a game's payoff becomes an expression through it, and no grid goes
+through a label-keyed dict on the way.  Payoffs, Bell values and every
+search read the stored arrays.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ JointLabels = tuple[str, ...]
 
 
 def _label_lists(value, what: str) -> tuple[Labels, ...]:
-    lists = tuple(tuple(str(x) for x in per) for per in value)
-    if not lists or any(not per for per in lists):
+    lists = tuple(tuple(map(str, per)) for per in value)
+    if not lists or not all(lists):
         raise DomainMismatchError(f"every player needs at least one {what}")
     for per in lists:
         if len(set(per)) != len(per):
@@ -67,10 +70,13 @@ def _label_lists(value, what: str) -> tuple[Labels, ...]:
     return lists
 
 
-def _distribution(keys: list, raw: Mapping, what: str) -> dict:
+def _distribution(keys: list, raw: Mapping, what: str,
+                  grid: np.ndarray | None = None) -> dict:
     """A table over ``keys`` that must be one distribution, missing
-    entries read as 0, clamped and checked."""
-    (row,) = distributions(_grid(keys, raw, what, 0.0)[None], (what,), keys)
+    entries read as 0, clamped and checked; ``grid``, when given, holds
+    its values already laid out, and ``raw`` is not read."""
+    grid = _grid(keys, raw, what, 0.0) if grid is None else grid
+    (row,) = distributions(grid[None], (what,), keys)
     return dict(zip(keys, row.tolist()))
 
 
@@ -98,6 +104,8 @@ class _Domain:
     strategies: tuple[Labels, ...]
 
     def __post_init__(self):
+        if "_unchecked" in vars(self):   # from _of_grid, on checked labels
+            return
         types = _label_lists(self.types, "type")
         strategies = _label_lists(self.strategies, "strategy")
         if len(types) != len(strategies):
@@ -107,14 +115,17 @@ class _Domain:
         object.__setattr__(self, "strategies", strategies)
 
     @classmethod
-    def _of_grid(cls, domain: "_Domain", grid: np.ndarray):
-        """The object on ``domain``'s labels whose grid is ``grid``: every
-        check of the constructor runs on ``grid`` itself, with no
-        label-keyed table in between, and every other field is None."""
+    def _of_grid(cls, domain: "_Domain", grid, **given):
+        """The object on the labels of ``domain``, a checked domain, whose
+        grid is ``grid``: the labels are not checked again, and every
+        other check of the constructor runs on ``grid`` itself, with no
+        label-keyed table in between.  A game's grid is the pair (prior,
+        payoffs), and classical advice's (rho, response grids); the
+        fields in ``given`` are set as given, and every other is None."""
         new = cls.__new__(cls)
         vars(new).update(dict.fromkeys(f.name for f in fields(cls)),
                          types=domain.types, strategies=domain.strategies,
-                         _unchecked=grid)
+                         _unchecked=grid, **given)
         new.__post_init__()
         return new
 
@@ -153,15 +164,18 @@ class BayesianGame(_Domain):
     def __post_init__(self):
         super().__post_init__()
         n = self.players
-        prior = _distribution(self.joint_types(), self.prior, "prior")
+        # set only by _of_grid: the prior, and the payoffs as (n, cells)
+        mu, pay = vars(self).pop("_unchecked", (None, None))
+        prior = _distribution(self.joint_types(), self.prior, "prior", mu)
         object.__setattr__(self, "prior", prior)
 
-        if len(self.payoffs) != n:
-            raise DomainMismatchError(
-                f"{len(self.payoffs)} payoff tables for {n} players")
         cells = self._cells()
-        pay = np.array([_grid(cells, raw, f"player {i} payoff table")
-                        for i, raw in enumerate(self.payoffs)])
+        if pay is None:
+            if len(self.payoffs) != n:
+                raise DomainMismatchError(
+                    f"{len(self.payoffs)} payoff tables for {n} players")
+            pay = np.array([_grid(cells, raw, f"player {i} payoff table")
+                            for i, raw in enumerate(self.payoffs)])
         if not np.isfinite(pay).all():
             i = np.isfinite(pay).all(axis=1).argmin()
             raise DomainMismatchError(f"player {i} has a non-finite payoff")
@@ -276,25 +290,29 @@ class ClassicalAdvice(_Domain):
     def __post_init__(self):
         super().__post_init__()
         types, strategies = self.types, self.strategies
+        # set only by _of_grid: rho, and a (type, lambda) x strategy grid
+        # of responses per player
+        rho, read = vars(self).pop("_unchecked", (None, None))
         lambdas = tuple(str(v) for v in self.lambdas)
         if not lambdas or len(set(lambdas)) != len(lambdas):
             raise DomainMismatchError("lambda values must be nonempty and "
                                       "distinct")
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "rho",
-                           _distribution(list(lambdas), self.rho, "rho"))
+        object.__setattr__(self, "rho", _distribution(list(lambdas),
+                                                      self.rho, "rho", rho))
 
-        if len(self.responses) != len(types):
+        if read is None and len(self.responses) != len(types):
             raise DomainMismatchError(
                 f"{len(self.responses)} response tables for {len(types)} "
                 f"players")
         tables, grids = [], []
-        for i, (raw, s_i) in enumerate(zip(self.responses, strategies)):
+        for i, s_i in enumerate(strategies):
             keys = list(itertools.product(types[i], lambdas))
             names = [f"p(s | {x}, {lam}) of player {i}" for x, lam in keys]
-            p = _rows(keys, s_i, raw, f"player {i} response table",
-                      lambda k: f"player {i} has no response row for type "
-                                f"{k[0]!r}, lambda {k[1]!r}")
+            p = read[i] if read is not None else _rows(
+                keys, s_i, self.responses[i], f"player {i} response table",
+                lambda k: f"player {i} has no response row for type "
+                          f"{k[0]!r}, lambda {k[1]!r}")
             rows = distributions(p, names, s_i)
             tables.append({k: dict(zip(s_i, row))
                            for k, row in zip(keys, rows.tolist())})
@@ -377,22 +395,26 @@ class QuantumAdvice(_Domain):
                 raise DomainMismatchError(
                     f"player {i} has {len(strategies[i])} strategies but "
                     f"a dimension-{d} wire")
-            table = {}
-            for x in types[i]:
+            # every basis in one stacked Gram product, a missing or
+            # misshapen one standing in as the identity until its turn
+            bases = [tuple(per.get(x, ())) for x in types[i]]
+            shaped = [len(b) == d and all(v.dims == (d,) for v in b)
+                      for b in bases]
+            stack = np.array([[v.amplitudes for v in b] if ok else np.eye(d)
+                              for b, ok in zip(bases, shaped)])
+            verdicts = orthonormal(stack.transpose(0, 2, 1), ALGEBRA_TOL)
+            for x, ok, unitary in zip(types[i], shaped, verdicts):
                 if x not in per:
                     raise DomainMismatchError(
                         f"player {i} has no measurement for type {x!r}")
-                basis = tuple(per[x])
-                if len(basis) != d or any(v.dims != (d,) for v in basis):
+                if not ok:
                     raise ShapeMismatchError(
                         f"player {i} type {x!r}: need {d} basis vectors on "
                         f"a dimension-{d} wire")
-                if not orthonormal(np.array([v.amplitudes for v in basis]).T,
-                                   ALGEBRA_TOL):
+                if not unitary:
                     raise NormalizationError(
                         f"player {i} type {x!r}: basis is not orthonormal")
-                table[x] = basis
-            cleaned.append(table)
+            cleaned.append(dict(zip(types[i], bases)))
         object.__setattr__(self, "measurements", tuple(cleaned))
 
     @classmethod
@@ -401,11 +423,8 @@ class QuantumAdvice(_Domain):
             -> "QuantumAdvice":
         """Qubit advice where player i measures type x in
         phase_basis(phases[i][x])."""
-        measurements = []
-        for per in phases:
-            measurements.append(
-                {str(x): phase_basis(a) for x, a in per.items()})
-        return cls(types, strategies, shared_state, tuple(measurements))
+        return cls(types, strategies, shared_state, tuple(
+            {str(x): phase_basis(a) for x, a in per.items()} for per in phases))
 
     @functools.cached_property
     def _conditional(self) -> ConditionalDistribution:

@@ -43,6 +43,7 @@ from .linalg import (
     check_wires,
     from_matrix,
     ket,
+    orthonormal,
     outcome_labels,
     table_grid,
 )
@@ -137,13 +138,18 @@ class QuantumGameSpec:
         for i, per in enumerate(sets):
             if not per:
                 raise DomainMismatchError(f"player {i} has no strategies")
+            # every gate in one stacked Gram product, one not on a single
+            # dimension-d wire standing in as the identity until its turn
+            unitary = iter(orthonormal(np.array([
+                g.array if g.in_dims == g.out_dims == (d,) else np.eye(d)
+                for g in per.values()]), NASH_TOL))
             for name, gate in per.items():
                 if gate.in_dims != (d,) or gate.out_dims != (d,):
                     raise ShapeMismatchError(
                         f"strategy {name!r} of player {i} is not a single "
                         f"dimension-{d} wire: {gate.in_dims} -> "
                         f"{gate.out_dims}")
-                if not gate.is_unitary(NASH_TOL):
+                if not next(unitary):
                     raise UnitarityError(
                         f"strategy {name!r} of player {i} is not unitary")
         object.__setattr__(self, "strategies", sets)

@@ -3,7 +3,21 @@
 Complex numbers are two-element arrays [re, im]; matrices are row-major
 lists of such entries.  Joint labels are comma-joined strings, and
 payoff keys pair them as "types|strategies".  Angles accept either a
-number (radians) or a "pi" fraction string such as "pi/2" or "-3pi/4".
+number (radians) or a "pi" fraction string such as "pi/2" or "-3pi/4";
+either way an angle, and each number in its string, must be finite.
+
+Loading reads each numeric table of a spec as one array, checked once,
+and hands it to its constructor as a grid, with no label-keyed dict in
+between.  A Bayes spec's prior and payoffs and a classical advice's rho
+and responses are looked up at the key strings their label lists give
+(labels hold no "," or "|", so the keys name the cells one to one); a
+player's EWL gate matrices are one float array, and each amplitude list
+another, viewed as complex, so a -0.0 part stays -0.0.  Only when that
+read fails is the table walked entry by entry in document order, which
+names its first fault as before: a bad value or key is raised where it
+stands, and a fault of the domain is left for the constructor to name.
+On a Bayes table the walk always raises.  An amplitude written as a bare
+real, a "phase" basis or a builtin gate name is read entry by entry too.
 
 Loading is strict: unknown keys, wrong arities, or malformed numbers
 raise FormatError naming the offending location, and a table entry
@@ -19,11 +33,12 @@ trip reproduces equal objects.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -31,6 +46,7 @@ from .bayes import (
     BayesianGame,
     ClassicalAdvice,
     QuantumAdvice,
+    _Domain,
     phase_basis,
 )
 from .errors import (
@@ -47,6 +63,7 @@ from .linalg import (
     StateVector,
     check_dims,
     check_wires,
+    dimension_limit,
     from_matrix,
 )
 
@@ -66,15 +83,16 @@ def parse_angle(value) -> float:
     m = _ANGLE_RE.match(value.strip())
     if not m or (m.group("coef") is None and m.group("pi") is None):
         raise FormatError(f"cannot parse angle {value!r}")
-    out = float(m.group("coef")) if m.group("coef") else 1.0
+    where = f"angle {value!r}"
+    out = _finite(m.group("coef") or 1.0, where)
     if m.group("pi"):
         out *= math.pi
     if m.group("den"):
-        den = float(m.group("den"))
+        den = _finite(m.group("den"), where)
         if den == 0:
             raise FormatError(f"zero denominator in angle {value!r}")
         out /= den
-    return -out if m.group("sign") == "-" else out
+    return _finite(-out if m.group("sign") == "-" else out, where)
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -105,6 +123,65 @@ def complex_from_json(value, where: str) -> complex:
                       f"{value!r}")
 
 
+def _array(value, depth: int = 0) -> np.ndarray | None:
+    """``value``, lists nested ``depth`` deep around finite JSON numbers,
+    as one float array, or None if it is anything else."""
+    leaves = value
+    try:
+        for _ in range(depth):
+            leaves = itertools.chain.from_iterable(leaves)
+        if not set(map(type, leaves)) <= {int, float}:   # a bool is neither
+            return None
+        out = np.array(value, float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _complex_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``value``, lists of [re, im] pairs in ``shape``, as one complex
+    array (a -0.0 part stays -0.0), or None if it is anything else."""
+    out = _array(value, len(shape))
+    return None if out is None or out.shape != shape + (2,) \
+        else out.view(complex)[..., 0]
+
+
+def _listed(raw, keys, fill=None) -> list | None:
+    """The values of the JSON object ``raw`` at ``keys`` (distinct), or
+    None unless ``raw`` has no other key and each key is found or ``fill``
+    stands in for it; always None when ``keys`` is None."""
+    if type(raw) is not dict or keys is None or \
+            sum(map(raw.__contains__, keys)) != len(raw):
+        return None
+    values = list(map(raw.get, keys, itertools.repeat(fill)))
+    return None if None in values else values
+
+
+def _table(raw, keys, where: str, fill=None, key: str = "", cols=None):
+    """``raw``'s values at ``keys`` as one float array, or None once its
+    entries are walked in document order when it is not such a table:
+    the first whose value is not a finite number, or whose key does not
+    split at "|" into the two parts ``key`` names, is raised.  With
+    ``cols`` each value is a row, a table over ``cols`` read as 0 where
+    it is missing, and the array has a row per key."""
+    values = _listed(raw, keys, fill)
+    if cols is not None and values is not None:
+        values = [_listed(row, cols, 0.0) for row in values]
+    values = _array(values, cols is not None)
+    if values is not None:
+        return values
+    for k, v in raw.items():
+        at = f"{where}[{k!r}]"
+        if key and str(k).count("|") != 1:
+            raise FormatError(f"{at}: key must look like \"{key}\"")
+        if cols is None:
+            _number(v, at)
+        elif not isinstance(v, Mapping):
+            raise FormatError(f"{at}: expected an object")
+        else:
+            _table(v, None, at)
+
+
 def _built(where: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with a GameLabError reworded as a
     FormatError at ``where``.  A DimensionLimitError passes through as it
@@ -129,8 +206,10 @@ def matrix_from_json(rows, where: str, in_dims=None,
         raise FormatError(f"{where}: expected a list of equal-length "
                           f"matrix rows")
     check_dims((max(len(rows), len(rows[0])),), f"{where} rows or columns")
-    entries = [[complex_from_json(v, f"{where}[{i}][{j}]")
-                for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    entries = _complex_array(rows, (len(rows), len(rows[0])))
+    if entries is None:
+        entries = [[complex_from_json(v, f"{where}[{i}][{j}]")
+                    for j, v in enumerate(row)] for i, row in enumerate(rows)]
     return _built(where, from_matrix, entries, in_dims=in_dims,
                   out_dims=out_dims)
 
@@ -142,8 +221,10 @@ def vector_to_json(state: StateVector) -> list[list[float]]:
 def vector_from_json(values, dims, where: str) -> StateVector:
     if not isinstance(values, list) or not values:
         raise FormatError(f"{where}: expected a list of amplitudes")
-    amps = np.array([complex_from_json(v, f"{where}[{i}]")
-                     for i, v in enumerate(values)])
+    amps = _complex_array(values, (len(values),))
+    if amps is None:
+        amps = np.array([complex_from_json(v, f"{where}[{i}]")
+                         for i, v in enumerate(values)])
     dims = tuple(int(d) for d in dims)
     if len(amps) != math.prod(dims):
         raise FormatError(
@@ -185,19 +266,12 @@ def _label_lists(value, count: int, where: str) -> tuple[tuple[str, ...],
             not all(isinstance(per, list) and per for per in value):
         raise FormatError(
             f"{where}: expected {count} nonempty label lists")
-    out = []
-    for per in value:
-        labels = tuple(str(x) for x in per)
-        for lab in labels:
-            if "," in lab or "|" in lab:
-                raise FormatError(
-                    f"{where}: label {lab!r} may not contain ',' or '|'")
-        out.append(labels)
-    return tuple(out)
-
-
-def _join(labels: Sequence[str]) -> str:
-    return ",".join(labels)
+    out = tuple(tuple(map(str, per)) for per in value)
+    for lab in itertools.chain.from_iterable(out):
+        if "," in lab or "|" in lab:
+            raise FormatError(
+                f"{where}: label {lab!r} may not contain ',' or '|'")
+    return out
 
 
 # --- EWL game specs -------------------------------------------------------
@@ -243,8 +317,8 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
         where = f"strategies[{i}]"
         if not isinstance(raw_set, list) or not raw_set:
             raise FormatError(f"{where}: expected a nonempty list")
-        per: dict[str, LinearMap] = {}
-        for j, entry in enumerate(raw_set):
+        per = _gates(raw_set, dim) or {}
+        for j, entry in enumerate(() if per else raw_set):
             if isinstance(entry, str):
                 if entry not in BUILTIN_GATES:
                     raise FormatError(
@@ -272,10 +346,11 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
             not all(isinstance(per, Mapping) for per in raw_coeffs):
         raise FormatError(
             f"payoff_coeffs: expected {players} outcome->number objects")
-    coeffs = tuple(
-        {str(k): _number(v, f"payoff_coeffs[{i}][{k!r}]")
-         for k, v in per.items()}
-        for i, per in enumerate(raw_coeffs))
+    coeffs = []
+    for i, per in enumerate(raw_coeffs):
+        values = _table(per, list(per), f"payoff_coeffs[{i}]")
+        coeffs.append(dict(zip(map(str, per), map(float, per.values())
+                               if values is None else values.tolist())))
 
     entangled_state = None
     if "entangled_state" in doc:
@@ -283,8 +358,23 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
             doc["entangled_state"], entangler.in_dims, "entangled_state")
 
     return _built("ewl spec", QuantumGameSpec, players, tuple(strategy_sets),
-                  coeffs, entangler, dim, str(doc.get("initial_ket", "")),
-                  entangled_state)
+                  tuple(coeffs), entangler, dim,
+                  str(doc.get("initial_ket", "")), entangled_state)
+
+
+def _gates(entries: list, dim: int) -> dict[str, LinearMap] | None:
+    """A player's strategies with all their matrices read as one array,
+    or None unless each is a name and a dim x dim matrix of [re, im]
+    pairs, and the names are distinct."""
+    if dim <= dimension_limit() and all(
+            type(e) is dict and e.keys() == {"name", "matrix"}
+            for e in entries):
+        stack = _complex_array([e["matrix"] for e in entries],
+                               (len(entries), dim, dim))
+        gates = {} if stack is None else {
+            str(e["name"]): LinearMap._of_finite(gate, (dim,), (dim,))
+            for e, gate in zip(entries, stack)}
+        return gates if len(gates) == len(entries) else None
 
 
 def ewl_to_json(spec: QuantumGameSpec) -> dict:
@@ -294,17 +384,10 @@ def ewl_to_json(spec: QuantumGameSpec) -> dict:
               and spec.entangler == ewl_entangler(spec.players))
     doc["entangler"] = "ewl" if is_ewl \
         else {"matrix": matrix_to_json(spec.entangler)}
-    sets = []
-    for per in spec.strategies:
-        entries = []
-        for name, gate in per.items():
-            if name in BUILTIN_GATES and gate == BUILTIN_GATES[name]:
-                entries.append(name)
-            else:
-                entries.append({"name": name,
-                                "matrix": matrix_to_json(gate)})
-        sets.append(entries)
-    doc["strategies"] = sets
+    doc["strategies"] = [
+        [name if name in BUILTIN_GATES and gate == BUILTIN_GATES[name]
+         else {"name": name, "matrix": matrix_to_json(gate)}
+         for name, gate in per.items()] for per in spec.strategies]
     doc["payoff_coeffs"] = [dict(per) for per in spec.payoff_coeffs]
     if spec.entangled_state is not None:
         doc["entangled_state"] = vector_to_json(spec.entangled_state)
@@ -331,28 +414,32 @@ def bayes_from_json(doc: Mapping) \
     raw_prior = _require(doc, "prior", "bayes spec")
     if not isinstance(raw_prior, Mapping):
         raise FormatError("prior: expected an object")
-    prior = {tuple(str(k).split(",")): _number(v, f"prior[{k!r}]")
-             for k, v in raw_prior.items()}
+    # the keys of each table, or None to walk every entry when a label
+    # repeats and keys would too
+    joint_types = list(map(",".join, itertools.product(*types)))
+    cells = list(map("|".join, itertools.product(joint_types, map(
+        ",".join, itertools.product(*strategies)))))
+    if any(len(set(per)) < len(per) for per in types + strategies):
+        joint_types = cells = None
+    prior = _table(raw_prior, joint_types, "prior", 0.0)
 
     raw_pay = _require(doc, "payoffs", "bayes spec")
     if not isinstance(raw_pay, list) or len(raw_pay) != players or \
             not all(isinstance(per, Mapping) for per in raw_pay):
         raise FormatError(f"payoffs: expected {players} objects")
-    payoffs = []
-    for i, per in enumerate(raw_pay):
-        table = {}
-        for key, v in per.items():
-            where = f"payoffs[{i}][{key!r}]"
-            parts = str(key).split("|")
-            if len(parts) != 2:
-                raise FormatError(
-                    f"{where}: key must look like \"types|strategies\"")
-            jt, js = (tuple(part.split(",")) for part in parts)
-            table[(jt, js)] = _number(v, where)
-        payoffs.append(table)
-
-    game = _built("bayes spec", BayesianGame, types, strategies, prior,
-                  tuple(payoffs))
+    pay = [_table(per, cells, f"payoffs[{i}]", key="types|strategies")
+           for i, per in enumerate(raw_pay)]
+    if prior is None or any(p is None for p in pay):
+        # a fault of the domain, for the constructor to name
+        _built("bayes spec", BayesianGame, types, strategies, {
+            tuple(str(k).split(",")): v for k, v in raw_prior.items()},
+            tuple({tuple(tuple(part.split(",")) for part in str(k).split(
+                "|")): v for k, v in per.items()} for per in raw_pay))
+        # reached only by a Mapping json does not give, such as one
+        # holding numpy scalars or keys that are not strings
+        raise FormatError("bayes spec: tables must map strings to numbers")
+    game = _built("bayes spec", BayesianGame._of_grid,
+                  _Domain(types, strategies), (prior, np.array(pay)))
 
     advice = None
     if "advice" in doc and doc["advice"] is not None:
@@ -380,34 +467,33 @@ def _classical_advice_from_json(doc: Mapping,
     if not isinstance(raw_lams, list) or not raw_lams:
         raise FormatError("advice.lambdas: expected a nonempty list")
     lambdas = tuple(str(v) for v in raw_lams)
+    # keys of the tables, unless they would repeat or not split at "|"
+    keyed = len(set(lambdas)) == len(lambdas) and "|" not in "".join(lambdas)
     raw_rho = _require(doc, "rho", "advice")
     if not isinstance(raw_rho, Mapping):
         raise FormatError("advice.rho: expected an object")
-    rho = {str(k): _number(v, f"advice.rho[{k!r}]")
-           for k, v in raw_rho.items()}
+    rho = _table(raw_rho, lambdas if keyed else None, "advice.rho", 0.0)
     raw_resp = _require(doc, "responses", "advice")
     if not isinstance(raw_resp, list) or len(raw_resp) != game.players:
         raise FormatError(
             f"advice.responses: expected {game.players} objects")
-    responses = []
-    for i, per in enumerate(raw_resp):
+    grids = []
+    for i, (per, x_i) in enumerate(zip(raw_resp, game.types)):
         if not isinstance(per, Mapping):
             raise FormatError(f"advice.responses[{i}]: expected an object")
-        table = {}
-        for key, row in per.items():
-            where = f"advice.responses[{i}][{key!r}]"
-            parts = str(key).split("|")
-            if len(parts) != 2:
-                raise FormatError(
-                    f"{where}: key must look like \"type|lambda\"")
-            if not isinstance(row, Mapping):
-                raise FormatError(f"{where}: expected an object")
-            table[(parts[0], parts[1])] = {
-                str(s): _number(v, f"{where}[{s!r}]")
-                for s, v in row.items()}
-        responses.append(table)
-    return _built("advice", ClassicalAdvice, game.types, game.strategies,
-                  lambdas, rho, tuple(responses))
+        keys = [f"{x}|{lam}" for x in x_i for lam in lambdas]
+        grids.append(_table(per, keys if keyed else None,
+                            f"advice.responses[{i}]", key="type|lambda",
+                            cols=game.strategies[i]))
+    if rho is None or any(g is None for g in grids):
+        # a fault of the domain, for the constructor to name
+        _built("advice", ClassicalAdvice, game.types, game.strategies,
+               lambdas, {str(k): v for k, v in raw_rho.items()},
+               tuple({tuple(str(k).split("|")): row for k, row in
+                      per.items()} for per in raw_resp))
+        raise FormatError("advice: tables must map strings to numbers")
+    return _built("advice", ClassicalAdvice._of_grid, game, (rho, grids),
+                  lambdas=lambdas)
 
 
 def _quantum_advice_from_json(doc: Mapping,
@@ -467,38 +553,30 @@ def _quantum_advice_from_json(doc: Mapping,
 
 def advice_to_json(advice) -> dict:
     if isinstance(advice, ClassicalAdvice):
-        responses = []
-        for table in advice.responses:
-            responses.append({f"{x}|{lam}": dict(row)
-                              for (x, lam), row in table.items()})
         return {"kind": "classical", "lambdas": list(advice.lambdas),
-                "rho": dict(advice.rho), "responses": responses}
+                "rho": dict(advice.rho), "responses": [
+                    {f"{x}|{lam}": dict(row) for (x, lam), row in t.items()}
+                    for t in advice.responses]}
     if isinstance(advice, QuantumAdvice):
-        measurements = []
-        for table in advice.measurements:
-            measurements.append({
-                x: {"basis": [vector_to_json(v) for v in basis]}
-                for x, basis in table.items()})
         return {"kind": "quantum",
                 "state": vector_to_json(advice.shared_state),
                 "dims": list(advice.shared_state.dims),
-                "measurements": measurements}
+                "measurements": [{x: {"basis": list(map(vector_to_json, b))}
+                                  for x, b in t.items()}
+                                 for t in advice.measurements]}
     raise FormatError(f"cannot serialize advice {advice!r}")
 
 
 def bayes_to_json(game: BayesianGame, advice=None) -> dict:
-    prior = {_join(jt): v for jt, v in game.prior.items()}
-    payoffs = []
-    for table in game.payoffs:
-        payoffs.append({f"{_join(jt)}|{_join(js)}": v
-                        for (jt, js), v in table.items()})
     doc: dict = {
         "kind": "bayes",
         "players": game.players,
         "types": [list(per) for per in game.types],
         "strategies": [list(per) for per in game.strategies],
-        "prior": prior,
-        "payoffs": payoffs,
+        "prior": {",".join(jt): v for jt, v in game.prior.items()},
+        "payoffs": [{",".join(jt) + "|" + ",".join(js): v
+                     for (jt, js), v in table.items()}
+                    for table in game.payoffs],
     }
     if advice is not None:
         doc["advice"] = advice_to_json(advice)

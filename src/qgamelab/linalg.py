@@ -35,7 +35,8 @@ And it writes each remaining validation rule once:
 - ``check_domain`` names the keys of a table outside its domain.
 - ``born_weights`` applies the Born rule to a batch of states and checks
   each is normalized.
-- ``orthonormal`` is the Gram test of a unitary or a measurement basis.
+- ``orthonormal`` is the Gram test of a unitary or a measurement basis,
+  or of a stack of them in one product.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def set_dimension_limit(limit: int) -> None:
 
 def check_dims(dims, what: str) -> tuple[int, ...]:
     """Validate wire dims against the cap; call before allocating for them."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if min(dims, default=1) < 1:
         raise ValueError(f"{what} must be positive integers, got {dims}")
     total = math.prod(dims)
     if total > _dimension_limit:
@@ -108,7 +109,7 @@ def check_wires(d: int, n: int, what: str) -> tuple[int, ...]:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite (no NaN/Inf)")
 
 
@@ -327,7 +328,8 @@ class StateVector:
 
     @property
     def squared_norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        with np.errstate(over="ignore"):   # an overflow reads as inf
+            return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def is_normalized(self, tol: float = PROB_TOL) -> bool:
         return abs(self.squared_norm - 1.0) <= tol
@@ -539,11 +541,15 @@ def ket(digits: str, dim: int = 2) -> StateVector:
     return basis_state(index, (dim,) * len(values))
 
 
-def orthonormal(columns: np.ndarray, tol: float) -> bool:
+def orthonormal(columns: np.ndarray, tol: float):
     """Whether the columns of ``columns`` are orthonormal: every entry of
-    |C^dag C - I| is at most ``tol``, and a NaN entry never is."""
-    gram = columns.conj().T @ columns
-    return bool(np.abs(gram - np.eye(columns.shape[1])).max() <= tol)
+    |C^dag C - I| is at most ``tol``, and a NaN entry never is.  A stack
+    of matrices, (..., rows, cols), gets a bool array of one verdict per
+    matrix from one stacked Gram product."""
+    with np.errstate(over="ignore", invalid="ignore"):   # never within tol
+        gram = np.swapaxes(columns, -1, -2).conj() @ columns
+    ok = np.abs(gram - np.eye(columns.shape[-1])).max(axis=(-2, -1)) <= tol
+    return bool(ok) if columns.ndim == 2 else ok
 
 
 def born_weights(amplitudes: np.ndarray,
