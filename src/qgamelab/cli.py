@@ -11,6 +11,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -106,22 +107,18 @@ def _json_text(report: dict) -> str:
 
 # --- command handlers -----------------------------------------------------
 
-def _load_ewl(path: str) -> ewl.QuantumGameSpec:
-    kind, loaded = formats.load_path(path)
-    if kind != "ewl":
-        raise GameLabError(f"{path}: expected an ewl spec, found {kind}")
-    return loaded
-
-
-def _load_bayes(path: str):
-    kind, loaded = formats.load_path(path)
-    if kind != "bayes":
-        raise GameLabError(f"{path}: expected a bayes spec, found {kind}")
+def _load(path: str, kind: str):
+    """The spec at ``path``, which must be of ``kind``, "ewl" or "bayes"."""
+    found, loaded = formats.load_path(path)
+    if found != kind:
+        article = "an" if kind == "ewl" else "a"
+        raise GameLabError(
+            f"{path}: expected {article} {kind} spec, found {found}")
     return loaded
 
 
 def _cmd_ewl_table(args) -> tuple[dict, list[str]]:
-    spec = _load_ewl(args.input)
+    spec = _load(args.input, "ewl")
     table = ewl.payoff_table(spec)
     report = {
         "players": spec.players,
@@ -142,7 +139,7 @@ def _cmd_ewl_nash(args) -> tuple[dict, list[str]]:
     if not 0 <= tol < math.inf:
         raise GameLabError(f"--tolerance must be finite and non-negative, "
                            f"got {tol}")
-    spec = _load_ewl(args.input)
+    spec = _load(args.input, "ewl")
     game = ewl.to_strategic_form(spec)
     equilibria = ewl.pure_nash(game, tol=tol)
     report: dict = {"equilibria": [list(p) for p in equilibria]}
@@ -162,7 +159,7 @@ def _cmd_ewl_nash(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_ewl_state(args) -> tuple[dict, list[str]]:
-    spec = _load_ewl(args.input)
+    spec = _load(args.input, "ewl")
     profile = tuple(args.profile.split(","))
     result = ewl.play(spec, profile)
     report = {
@@ -195,7 +192,7 @@ def _advice_kind(advice) -> str:
 
 
 def _cmd_bayes_payoff(args) -> tuple[dict, list[str]]:
-    game, advice = _require_advice(_load_bayes(args.input), args.input)
+    game, advice = _require_advice(_load(args.input, "bayes"), args.input)
     values = bayes.average_payoff(game, advice)
     report = {"advice": _advice_kind(advice), "payoffs": list(values)}
     lines = [f"advice: {report['advice']}"]
@@ -204,7 +201,7 @@ def _cmd_bayes_payoff(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_bell_bound(args) -> tuple[dict, list[str]]:
-    game, _ = _load_bayes(args.input)
+    game, _ = _load(args.input, "bayes")
     expr = bayes.BellExpression.from_payoff(game, args.player)
     limit = args.limit if args.limit is not None \
         else bayes.DEFAULT_ENUMERATION_LIMIT
@@ -215,7 +212,7 @@ def _cmd_bell_bound(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_bell_value(args) -> tuple[dict, list[str]]:
-    game, advice = _require_advice(_load_bayes(args.input), args.input)
+    game, advice = _require_advice(_load(args.input, "bayes"), args.input)
     expr = bayes.BellExpression.from_payoff(game, args.player)
     value = bayes.bell_value(expr, advice)
     report = {"player": args.player, "value": value,
@@ -237,15 +234,8 @@ def _cmd_ghz_dist(args) -> tuple[dict, list[str]]:
 
 def _cmd_mermin(args) -> tuple[dict, list[str]]:
     rep = bayes.mermin_inequivalence()
-    report = {
-        "settings": list(rep.settings),
-        "quantum_expectations": list(rep.quantum_expectations),
-        "classical_assignments": rep.classical_assignments,
-        "satisfying_assignments": rep.satisfying_assignments,
-        "quantum_parity_product": rep.quantum_parity_product,
-        "classical_parity_product": rep.classical_parity_product,
-        "inequivalent": rep.inequivalent,
-    }
+    report = {key: list(value) if isinstance(value, tuple) else value
+              for key, value in dataclasses.asdict(rep).items()}
     lines = ["Mermin GHZ^3 parity report:"]
     for setting, e in zip(rep.settings, rep.quantum_expectations):
         lines.append(f"  E({setting}) = {_num(e)}")
@@ -311,6 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--output", choices=("table", "json"),
                         default="table", help="report format")
+    # each argument that several subcommands share, declared once
+    ewl_spec = argparse.ArgumentParser(add_help=False, parents=[shared])
+    ewl_spec.add_argument("input", help="path to an ewl JSON spec")
+    player = argparse.ArgumentParser(add_help=False, parents=[shared])
+    player.add_argument("--player", type=int, default=0,
+                        help="player index (0-based)")
+    diagram = argparse.ArgumentParser(add_help=False, parents=[shared])
+    diagram.add_argument("expr", nargs="?", default=None,
+                         help="diagram source text")
+    diagram.add_argument("--file", default=None, help="read the diagram "
+                                                      "from a file")
 
     parser = argparse.ArgumentParser(
         prog="qgamelab",
@@ -318,23 +319,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "with advice, Bell bounds, and string diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ewl-table", parents=[shared],
+    p = sub.add_parser("ewl-table", parents=[ewl_spec],
                        help="payoff table of an EWL game spec")
-    p.add_argument("input", help="path to an ewl JSON spec")
     p.set_defaults(handler=_cmd_ewl_table)
 
-    p = sub.add_parser("ewl-nash", parents=[shared],
+    p = sub.add_parser("ewl-nash", parents=[ewl_spec],
                        help="pure Nash equilibria of an EWL game spec")
-    p.add_argument("input", help="path to an ewl JSON spec")
     p.add_argument("--pareto", action="store_true",
                    help="also list Pareto-optimal profiles")
     p.add_argument("--tolerance", type=float, default=None,
                    help="numeric tolerance override")
     p.set_defaults(handler=_cmd_ewl_nash)
 
-    p = sub.add_parser("ewl-state", parents=[shared],
+    p = sub.add_parser("ewl-state", parents=[ewl_spec],
                        help="final state and payoffs of one profile")
-    p.add_argument("input", help="path to an ewl JSON spec")
     p.add_argument("--profile", required=True,
                    help="comma-separated strategy labels, e.g. I,H")
     p.set_defaults(handler=_cmd_ewl_state)
@@ -344,21 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="path to a bayes JSON spec with advice")
     p.set_defaults(handler=_cmd_bayes_payoff)
 
-    p = sub.add_parser("bell-bound", parents=[shared],
+    p = sub.add_parser("bell-bound", parents=[player],
                        help="classical bound of a player's payoff "
                             "expression")
     p.add_argument("input", help="path to a bayes JSON spec")
-    p.add_argument("--player", type=int, default=0,
-                   help="player index (0-based)")
     p.add_argument("--limit", type=int, default=None,
                    help="enumeration cap override")
     p.set_defaults(handler=_cmd_bell_bound)
 
-    p = sub.add_parser("bell-value", parents=[shared],
+    p = sub.add_parser("bell-value", parents=[player],
                        help="Bell value of the file's advice")
     p.add_argument("input", help="path to a bayes JSON spec with advice")
-    p.add_argument("--player", type=int, default=0,
-                   help="player index (0-based)")
     p.set_defaults(handler=_cmd_bell_value)
 
     p = sub.add_parser("ghz-dist", parents=[shared],
@@ -372,24 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="GHZ^3 parity inequivalence report")
     p.set_defaults(handler=_cmd_mermin)
 
-    p = sub.add_parser("diagram-eval", parents=[shared],
+    p = sub.add_parser("diagram-eval", parents=[diagram],
                        help="evaluate a diagram to a matrix")
-    p.add_argument("expr", nargs="?", default=None,
-                   help="diagram source text")
-    p.add_argument("--file", default=None, help="read the diagram from "
-                                                "a file")
     p.add_argument("--dim", type=int, default=2, help="wire dimension")
     p.add_argument("--observable", choices=("computational", "fourier"),
                    default="computational",
                    help="observable structure the spiders use")
     p.set_defaults(handler=_cmd_diagram_eval)
 
-    p = sub.add_parser("diagram-check", parents=[shared],
+    p = sub.add_parser("diagram-check", parents=[diagram],
                        help="parse and typecheck a diagram")
-    p.add_argument("expr", nargs="?", default=None,
-                   help="diagram source text")
-    p.add_argument("--file", default=None, help="read the diagram from "
-                                                "a file")
     p.set_defaults(handler=_cmd_diagram_check)
 
     return parser

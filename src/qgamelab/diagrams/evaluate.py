@@ -179,20 +179,19 @@ class _Evaluation:
                 m = self.map(f)
                 sides.append((len(m.in_dims), len(m.out_dims)))
                 ops.append(m.array)
-        done = [False] * len(factors)
+        width = [ins for ins, _ in sides]   # each factor's wires so far
         for k in sorted(range(len(factors)),
                         key=lambda k: sides[k][1] > sides[k][0]):
             if isinstance(factors[k], Id):
                 continue
-            before = (d,) * sum(outs if done[j] else ins
-                                for j, (ins, outs) in enumerate(sides[:k]))
-            wires += sides[k][1] - sides[k][0]
+            before = (d,) * sum(width[:k])
+            wires += sides[k][1] - width[k]
             self._dims(wires, "Par stage intermediate dims")
             if isinstance(factors[k], Swap):
                 arr = swap_on_span(arr, before, d)
             else:
                 arr = apply_on_span(ops[k], arr, before)
-            done[k] = True
+            width[k] = sides[k][1]
         return arr, wires
 
     def _par(self, factors) -> LinearMap:

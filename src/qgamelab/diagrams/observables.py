@@ -196,8 +196,11 @@ def validate_born_vector(weights, dim: int = 2,
 
     Weights above -1e-12 are clamped to zero; anything more negative is
     rejected, as is a non-finite weight or a total mass off 1 by more
-    than ``tol``.
+    than ``tol``.  ``dim`` must be at least 1, and for ``dim`` 1 only a
+    single weight is a power of it.
     """
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     values = [float(w) for w in weights]
     cleaned = []
     for i, w in enumerate(values):
@@ -213,7 +216,7 @@ def validate_born_vector(weights, dim: int = 2,
     n = len(cleaned)
     arity = 0
     size = 1
-    while size < n:
+    while size < n and dim > 1:
         size *= dim
         arity += 1
     if size != n:

@@ -25,10 +25,10 @@ whose labels fall outside its game's domain (an unknown label, or a
 joint key with the wrong number of labels) is a FormatError naming the
 entry.  ``_built`` is the one place that rewords a constructor's
 GameLabError as a FormatError at its location, and it lets a
-DimensionLimitError through unchanged, for the CLI to exit 2; only
-``"entangler": "ewl"`` rewords its own two faults, of player count and
-dimension.  Dumping emits full float precision so a dump/load round
-trip reproduces equal objects.
+DimensionLimitError through unchanged, for the CLI to exit 2.  An EWL
+spec's payoff coefficients are checked as one table per player and
+handed to the constructor as read.  Dumping emits full float precision
+so a dump/load round trip reproduces equal objects.
 """
 
 from __future__ import annotations
@@ -49,13 +49,7 @@ from .bayes import (
     _Domain,
     phase_basis,
 )
-from .errors import (
-    DimensionLimitError,
-    DomainMismatchError,
-    FormatError,
-    GameLabError,
-    UnsupportedDimensionError,
-)
+from .errors import DimensionLimitError, FormatError, GameLabError
 from .ewl import QuantumGameSpec, ewl_entangler
 from .linalg import (
     BUILTIN_GATES,
@@ -289,10 +283,7 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
 
     raw_ent = _require(doc, "entangler", "ewl spec")
     if raw_ent == "ewl":
-        try:
-            entangler = ewl_entangler(players, dim)
-        except (DomainMismatchError, UnsupportedDimensionError) as exc:
-            raise FormatError(f"entangler: {exc}") from exc
+        entangler = _built("entangler", ewl_entangler, players, dim)
     elif isinstance(raw_ent, Mapping):
         _check_keys(raw_ent, {"matrix"}, "entangler")
         entangler = matrix_from_json(_require(raw_ent, "matrix",
@@ -346,11 +337,8 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
             not all(isinstance(per, Mapping) for per in raw_coeffs):
         raise FormatError(
             f"payoff_coeffs: expected {players} outcome->number objects")
-    coeffs = []
     for i, per in enumerate(raw_coeffs):
-        values = _table(per, list(per), f"payoff_coeffs[{i}]")
-        coeffs.append(dict(zip(map(str, per), map(float, per.values())
-                               if values is None else values.tolist())))
+        _table(per, list(per), f"payoff_coeffs[{i}]")
 
     entangled_state = None
     if "entangled_state" in doc:
@@ -358,7 +346,7 @@ def ewl_from_json(doc: Mapping) -> QuantumGameSpec:
             doc["entangled_state"], entangler.in_dims, "entangled_state")
 
     return _built("ewl spec", QuantumGameSpec, players, tuple(strategy_sets),
-                  tuple(coeffs), entangler, dim,
+                  tuple(raw_coeffs), entangler, dim,
                   str(doc.get("initial_ket", "")), entangled_state)
 
 

@@ -17,9 +17,11 @@ else builds an operator on a whole product space to apply a product:
 - ``tensor_in_place`` builds a Kronecker product in one zeroed
   allocation and writes, and checks to be finite, only its non-zero
   entries, so an identity factor costs one diagonal write and no
-  intermediate product.  ``identity`` is its one-factor case.  Where the
-  platform allows it, that allocation is advised against huge pages, so
-  only the 4 KiB pages it writes become resident.
+  intermediate product.  It is the one Kronecker kernel: ``identity`` is
+  its one-factor case, and ``tensor`` and ``StateVector.tensor`` are its
+  two-factor cases.  Where the platform allows it, that allocation is
+  advised against huge pages, so only the 4 KiB pages it writes become
+  resident.
 
 It is also the one place that decides how a label-keyed table becomes an
 array and what makes its rows distributions:
@@ -345,7 +347,8 @@ class StateVector:
 
     def tensor(self, other: "StateVector") -> "StateVector":
         dims = check_dims(self.dims + other.dims, "combined dims")
-        return StateVector(np.kron(self.amplitudes, other.amplitudes), dims)
+        columns = [v.amplitudes.reshape(-1, 1) for v in (self, other)]
+        return StateVector(tensor_in_place(columns), dims)
 
     def allclose(self, other: "StateVector", tol: float = ALGEBRA_TOL) -> bool:
         return (self.dims == other.dims
@@ -357,7 +360,8 @@ def tensor(a: LinearMap, b: LinearMap) -> LinearMap:
     """Kronecker product; the left factor is the most significant wire."""
     in_dims = check_dims(a.in_dims + b.in_dims, "combined in_dims")
     out_dims = check_dims(a.out_dims + b.out_dims, "combined out_dims")
-    return LinearMap(np.kron(a.array, b.array), in_dims, out_dims)
+    return LinearMap._of_finite(tensor_in_place([a.array, b.array]), in_dims,
+                                out_dims)
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -520,8 +524,8 @@ def from_matrix(rows, in_dims=None, out_dims=None) -> LinearMap:
 
 
 def basis_state(index: int, dims) -> StateVector:
-    dims = tuple(dims)
-    amps = np.zeros(math.prod(dims) if dims else 1, dtype=complex)
+    dims = check_dims(dims, "dims")
+    amps = np.zeros(math.prod(dims), dtype=complex)
     amps[index] = 1.0
     return StateVector(amps, dims)
 
@@ -535,10 +539,11 @@ def ket(digits: str, dim: int = 2) -> StateVector:
     if any(v >= dim for v in values):
         raise ValueError(f"ket digit out of range for dimension {dim}: "
                          f"{digits!r}")
+    dims = check_wires(dim, len(values), "dims")
     index = 0
     for v in values:
         index = index * dim + v
-    return basis_state(index, (dim,) * len(values))
+    return basis_state(index, dims)
 
 
 def orthonormal(columns: np.ndarray, tol: float):

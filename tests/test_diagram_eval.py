@@ -227,6 +227,24 @@ def test_validate_born_vector():
     assert bv3.weights[1] == 0.0
 
 
+@pytest.mark.parametrize("dim", [0, -1, -7])
+def test_validate_born_vector_rejects_a_dimension_below_one(dim):
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        validate_born_vector([0.5, 0.5], dim=dim)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        validate_born_vector([1.0], dim=dim)
+
+
+def test_validate_born_vector_dimension_one_has_only_a_single_weight():
+    bv = validate_born_vector([1.0], dim=1)
+    assert (bv.arity, bv.dim, bv.weights) == (0, 1, (1.0,))
+    assert bv.as_distribution() == {"": 1.0}
+    # the arity search ends: no power of 1 is more than one weight
+    for weights in ([0.5, 0.5], [0.25] * 4, [1 / 3] * 3):
+        with pytest.raises(ValueError, match="not a power of the dimension"):
+            validate_born_vector(weights, dim=1)
+
+
 def test_spider_fusion_random_cases():
     rng = np.random.default_rng(23)
     for _ in range(30):

@@ -1,5 +1,6 @@
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
@@ -74,3 +75,57 @@ def test_against_prints_each_file_at_a_revision_and_now(tmp_path, capsys):
                     ["0", "1", "+1", str(src / "new.py")],
                     ["8", "8", "+0", str(src / "pkg" / "b.py")],
                     ["11", "12", "+1", "total"]]
+
+
+def _commit_one_file(root: Path) -> Path:
+    def git(*args):
+        subprocess.run(["git", "-C", str(root), "-c", "user.name=t",
+                        "-c", "user.email=t@example.com",
+                        "-c", "commit.gpgsign=false", *args],
+                       check=True, capture_output=True)
+
+    src = root / "src"
+    src.mkdir()
+    (src / "a.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    return src
+
+
+def test_against_an_unknown_revision_prints_one_line_and_exits_2(tmp_path,
+                                                                 capsys):
+    src = _commit_one_file(tmp_path)
+    assert src_lines.main(["src_lines.py", "--against", "no-such-rev",
+                           str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "cannot read revision 'no-such-rev'" in err
+
+
+def test_against_a_root_outside_a_work_tree_exits_2(tmp_path, monkeypatch,
+                                                    capsys):
+    # git looks no higher than tmp_path for a repository
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text("x = 1\n")
+    assert src_lines.main(["src_lines.py", "--against", "HEAD",
+                           str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "cannot read revision 'HEAD'" in err
+
+
+def test_against_from_the_command_line_exits_2_without_a_traceback(
+        tmp_path):
+    src = _commit_one_file(tmp_path)
+    run = subprocess.run([sys.executable, str(_PATH), "--against",
+                          "no-such-rev", str(src)],
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) == 1

@@ -3,13 +3,20 @@ before any dims tuple is built, so a huge count fails at once."""
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from qgamelab import bayes, formats
 from qgamelab.cli import main
 from qgamelab.errors import DimensionLimitError
-from qgamelab.linalg import check_dims, check_wires, dimension_limit
+from qgamelab.linalg import (
+    basis_state,
+    check_dims,
+    check_wires,
+    dimension_limit,
+    ket,
+)
 
 HUGE = 10 ** 20
 
@@ -100,3 +107,21 @@ def test_ordinary_over_cap_specs_keep_the_check_that_fired_first(tmp_path):
             formats.load_path(path)
         assert str(caught.value) == \
             f"{first} 8192, above the configured limit 4096"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ket("0" * 20),
+    lambda: ket("0" * 40),
+    lambda: ket("1" * 13, dim=3),
+    lambda: basis_state(0, (2,) * 20),
+    lambda: basis_state(0, (2,) * 40),
+], ids=["ket-20", "ket-40", "ket-13-qutrits", "basis-20", "basis-40"])
+def test_basis_states_over_the_cap_refuse_before_allocating(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimitError, match="above the configured"):
+            make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -8,7 +8,8 @@ docstring is any string literal that stands alone as a statement.
 
 With ``--against REV`` it prints, per file, the code lines at git
 revision REV (read with ``git show REV:path``), the code lines in the
-working tree, and the difference; a file missing on one side counts 0:
+working tree, and the difference; a file missing on one side counts 0.
+An unknown REV, or a root outside a git work tree, exits with status 2:
 
     python3 tools/src_lines.py --against REV [root]
 """
@@ -48,9 +49,17 @@ def _git(root: Path, *args: str) -> str:
 
 
 def against(rev: str, root: Path) -> int:
-    """Print code lines at ``rev``, in the working tree, and the change."""
-    then = {Path(name) for name in _git(root, "ls-tree", "-r", "--name-only",
-                                        rev, ".").splitlines()
+    """Print code lines at ``rev``, in the working tree, and the change;
+    or, when git cannot list ``root`` at ``rev``, one line naming the
+    revision on stderr, with status 2."""
+    try:
+        listed = _git(root, "ls-tree", "-r", "--name-only", rev, ".")
+    except subprocess.CalledProcessError as exc:
+        reason = (exc.stderr.strip().splitlines() or ["git failed"])[-1]
+        print(f"src_lines.py: cannot read revision {rev!r} under {root}: "
+              f"{reason}", file=sys.stderr)
+        return 2
+    then = {Path(name) for name in listed.splitlines()
             if name.endswith(".py")}
     now = {path.relative_to(root) for path in root.rglob("*.py")}
     totals = [0, 0]
