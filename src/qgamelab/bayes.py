@@ -21,8 +21,8 @@ a game its prior, payoffs and coefficients mu(X) P_i(X, s) per player,
 classical advice its response tables, an expression its coefficients, a
 conditional its probabilities.  The public dicts are read back from the
 checked grids, and a key outside a table's domain is named by
-``linalg.check_domain``, as in ``_grid``; each measurement basis must
-pass ``linalg.orthonormal``.
+``linalg.check_domain``, as in ``_grid``; a measurement basis must pass
+``linalg.orthonormal``, all of a player's bases in one stacked product.
 ``_Domain._of_grid`` is the one path from a grid: it builds a game,
 classical advice, a conditional or an expression from arrays on a
 checked domain, with every other check of the constructor run on the
@@ -395,22 +395,26 @@ class QuantumAdvice(_Domain):
                 raise DomainMismatchError(
                     f"player {i} has {len(strategies[i])} strategies but "
                     f"a dimension-{d} wire")
-            table = {}
-            for x in types[i]:
+            # every basis in one stacked Gram product, a missing or
+            # misshapen one standing in as the identity until its turn
+            bases = [tuple(per.get(x, ())) for x in types[i]]
+            shaped = [len(b) == d and all(v.dims == (d,) for v in b)
+                      for b in bases]
+            stack = np.array([[v.amplitudes for v in b] if ok else np.eye(d)
+                              for b, ok in zip(bases, shaped)])
+            verdicts = orthonormal(stack.transpose(0, 2, 1), ALGEBRA_TOL)
+            for x, ok, unitary in zip(types[i], shaped, verdicts):
                 if x not in per:
                     raise DomainMismatchError(
                         f"player {i} has no measurement for type {x!r}")
-                basis = tuple(per[x])
-                if len(basis) != d or any(v.dims != (d,) for v in basis):
+                if not ok:
                     raise ShapeMismatchError(
                         f"player {i} type {x!r}: need {d} basis vectors on "
                         f"a dimension-{d} wire")
-                if not orthonormal(np.array([v.amplitudes for v in basis]).T,
-                                   ALGEBRA_TOL):
+                if not unitary:
                     raise NormalizationError(
                         f"player {i} type {x!r}: basis is not orthonormal")
-                table[x] = basis
-            cleaned.append(table)
+            cleaned.append(dict(zip(types[i], bases)))
         object.__setattr__(self, "measurements", tuple(cleaned))
 
     @classmethod
