@@ -13,6 +13,15 @@ Grammar (whitespace-insensitive, ``#`` comments to end of line):
 
 The atom rules come from ``ATOM_SYNTAX`` in ``terms.py``, the one place
 that lists each atom's keyword and arguments; ``pretty()`` reads it too.
+
+``parse`` reads each well-formed atom with one match of ``_ATOM_RE``:
+its keyword, its arguments, and any whitespace or comments inside it.
+The recursive descent then sees only atoms, ";", "*" and parentheses,
+and an atom's term is built once per distinct atom text in a call.  If
+any part of the text is not a well-formed atom or one of those four
+characters, or the descent fails, the whole text is parsed again token
+by token (``_tokenize``), so each error is derived exactly as from the
+per-lexeme tokens: the same message, line, column and expected set.
 """
 
 from __future__ import annotations
@@ -25,9 +34,11 @@ from ..errors import DiagramSyntaxError
 from .observables import PhaseElement
 from .terms import ATOM_SYNTAX, DiagramTerm, Par, Seq
 
-_TOKEN_RE = re.compile(r"""
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+
+_TOKEN_RE = re.compile(rf"""
     (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
-  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<number>{_NUMBER})
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>[();,*-])
   | (?P<bad>.)
@@ -35,13 +46,48 @@ _TOKEN_RE = re.compile(r"""
 
 _ATOM_STARTERS = (*ATOM_SYNTAX, "(")
 
-# Each argument kind of ATOM_SYNTAX except "phase": how an error names
-# it, and the test its token's text must pass.  Only number tokens are
-# all digits, and only identifier tokens are identifiers (so are the
-# atom keywords).
-_ARGUMENTS = {"nat": ("natural number", str.isdigit),
-              "digits": ("digit string", str.isdigit),
-              "name": ("box name", str.isidentifier)}
+# Whitespace and comments between two tokens, as _TOKEN_RE skips them.
+# A comment must run to the end of its line, and no two of these stand
+# side by side in an atom's pattern, so a failed match backtracks in
+# linear time.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_PHASE_PARTS = re.compile(rf"(-?){_SKIP}({_NUMBER})?")
+
+
+def _phase(text: str) -> PhaseElement:
+    """The phase that the text of a well-formed phase argument reads."""
+    minus, number = _PHASE_PARTS.match(text).groups()
+    value = float(number or 1) * (math.pi if text.endswith("pi") else 1.0)
+    return PhaseElement.qubit(-value if minus else value)
+
+
+# Each argument kind of ATOM_SYNTAX: how an error names it (the errors
+# in a phase name its tokens instead), the pattern of its text, and its
+# value read from that text.  Only a number token is all digits, and
+# only an identifier token (so is an atom keyword) is an identifier, so
+# a token is a "nat", "digits" or "name" if its text matches the pattern.
+_ARGUMENTS = {
+    "nat": ("natural number", r"\d+", int),
+    "digits": ("digit string", r"\d+", str),
+    "name": ("box name", r"[A-Za-z_][A-Za-z_0-9]*", str),
+    "phase": ("phase", rf"(?:-{_SKIP})?(?=\.?\d|pi)(?:{_NUMBER})?"
+                       rf"(?:{_SKIP}pi)?", _phase)}
+
+
+def _atom_pattern(keyword: str, kinds: tuple[str, ...]) -> str:
+    """A group named ``keyword`` that matches one well-formed atom, with
+    one group for each argument in it."""
+    args = ""
+    for i, kind in enumerate(kinds):
+        arg = rf"{',' + _SKIP if i else ''}({_ARGUMENTS[kind][1]}){_SKIP}"
+        args += f"(?:{arg})?" if kind == "phase" else arg
+    body = rf"{_SKIP}\({_SKIP}{args}\)" if kinds else "(?![A-Za-z_0-9])"
+    return f"(?P<{keyword}>{keyword}{body})"
+
+
+_ATOM_RE = re.compile(rf"{_SKIP}(?:(?P<punct>[;*()])|" + "|".join(
+    _atom_pattern(k, kinds) for k, (_, kinds) in ATOM_SYNTAX.items())
+    + r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
 
 # Parentheses may nest this deep.  Parsing takes three stack frames per
 # level and pretty() up to three, so the recursive walks over the AST
@@ -50,7 +96,8 @@ MAX_NESTING = 100
 
 
 class Token(NamedTuple):
-    kind: str       # "number" | "ident" | "punct" | "eof"
+    kind: str       # "number" | "ident" | "punct" | "eof", or from
+                    # _atom_tokens an atom keyword or "bad"
     text: str
     offset: int     # index of the first character in the source
 
@@ -73,12 +120,35 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _atom_tokens(text: str) -> tuple[list[Token], dict[str, DiagramTerm]]:
+    """The tokens of ``text`` with each well-formed atom as one token of
+    its keyword's kind, and the term of each distinct atom text.  The
+    first character that starts nothing else is a "bad" token, which no
+    rule accepts."""
+    tokens, atoms = [], {}
+    for m in _ATOM_RE.finditer(text):
+        kind, i = m.lastgroup, m.lastindex
+        if kind in ATOM_SYNTAX and m[i] not in atoms:
+            cls, kinds = ATOM_SYNTAX[kind]
+            atoms[m[i]] = cls(*(_ARGUMENTS[k][2](arg) for k, arg in
+                                zip(kinds, m.groups()[i:]) if arg is not None))
+        tokens.append(Token(kind, m[i], m.start(i)))
+    return tokens, atoms
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[Token], atoms=None):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
+        self.atoms = atoms
         self.pos = 0
         self.depth = 0
+
+    def parse(self) -> DiagramTerm:
+        term = self.parse_diagram()
+        if self.tokens[self.pos].kind != "eof":
+            self.fail((";", "*", "end of input"))
+        return term
 
     def fail(self, expected: tuple[str, ...]) -> DiagramSyntaxError:
         tok = self.tokens[self.pos]
@@ -114,6 +184,9 @@ class _Parser:
 
     def parse_atom(self) -> DiagramTerm:
         tok = self.tokens[self.pos]
+        if tok.kind in ATOM_SYNTAX:
+            self.pos += 1
+            return self.atoms[tok.text]
         if self.accept("("):
             if self.depth == MAX_NESTING:
                 raise DiagramSyntaxError(
@@ -145,11 +218,11 @@ class _Parser:
 
     def parse_argument(self, kind: str) -> int | str:
         text = self.tokens[self.pos].text
-        label, valid = _ARGUMENTS[kind]
-        if not valid(text):
+        label, pattern, value = _ARGUMENTS[kind]
+        if not re.fullmatch(pattern, text):
             self.fail((label,))
         self.pos += 1
-        return int(text) if kind == "nat" else text
+        return value(text)
 
     def parse_phase(self) -> float:
         sign = -1.0 if self.accept("-") else 1.0
@@ -158,9 +231,12 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind == "number":
             self.pos += 1
-            value = float(tok.text)
-            if self.accept("pi"):
-                value *= math.pi
+            times_pi = self.accept("pi")
+            value = float(tok.text) * (math.pi if times_pi else 1.0)
+            if math.isinf(value):
+                raise DiagramSyntaxError(
+                    f"phase {tok.text + 'pi' * times_pi!r}: expected a "
+                    "finite number", *_position(self.text, tok.offset))
             return sign * value
         self.fail(("real number", "pi"))
 
@@ -170,8 +246,9 @@ def parse(text: str) -> DiagramTerm:
 
     Raises DiagramSyntaxError with line/column and the expected tokens.
     """
-    parser = _Parser(text)
-    term = parser.parse_diagram()
-    if parser.tokens[parser.pos].kind != "eof":
-        parser.fail((";", "*", "end of input"))
-    return term
+    try:
+        return _Parser(text, *_atom_tokens(text)).parse()
+    except (DiagramSyntaxError, ValueError):
+        # A malformed text, or a number no term holds (an int past the
+        # digit limit, a phase that overflows): find the error by tokens.
+        return _Parser(text, _tokenize(text)).parse()

@@ -66,3 +66,16 @@ def test_the_committed_baseline_compares_its_stored_medians(capsys):
     assert bench_compare.main(["bench_compare.py", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 4 * len(PARENT)
+
+
+def test_an_argument_that_is_not_a_readable_json_file_prints_the_usage(
+        tmp_path, capsys):
+    record = _record(tmp_path / "a.json", PARENT)
+    (tmp_path / "notes.txt").write_text("not json")
+    for args in (["--help"], [str(tmp_path / "missing.json")],
+                 [record, str(tmp_path / "missing.json")],
+                 [str(tmp_path / "notes.txt")], [str(tmp_path)]):
+        assert bench_compare.main(["bench_compare.py", *args]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: bench_compare.py "), args

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -618,3 +619,78 @@ def test_table_driven_pretty_matches_the_keyword_renderer():
         with pytest.raises(error) as got:
             pretty(bad)
         assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------ one regex match per atom
+
+
+def _spaced(rng, atom: str) -> str:
+    """``atom`` with whitespace or a comment after some of its tokens."""
+    gaps = ["", "", "", " ", "\n", " # in an atom\n", "\t"]
+    out = re.sub(r"([(,])", lambda m: m.group() + rng.choice(gaps), atom)
+    return re.sub(r"(\w)([(,)])", lambda m: m.group(1) + rng.choice(gaps)
+                  + m.group(2), out)
+
+
+def _bench_like_source(rng, wires: int, depth: int) -> str:
+    """A diagram like the benchmark's long and wide ones: ``depth`` stages
+    of ``id(j) * <atom> * id(k)`` and phased spiders, some grouped in
+    parentheses, with comments and newlines between and inside atoms."""
+    stages = []
+    for _ in range(depth):
+        j = rng.randrange(wires)
+        atom = rng.choice([
+            "spider(1,2)", "spider(2,1)", "swap", "cup", "cap", "ket(01)",
+            f"spider(1,1,{rng.uniform(-math.pi, math.pi)!r})",
+            f"spider(2,2,{rng.choice(['-', '- ', ''])}"
+            f"{rng.choice(['0.25', '.5', '7.', '2.5e+2', ''])}pi)"])
+        if rng.random() < 0.3:
+            atom = _spaced(rng, atom)
+        factors = [f"id({j})", atom, f"id({wires - j})"]
+        stage = " * ".join(factors)
+        if rng.random() < 0.2:
+            stage = f"({factors[0]} * ({atom} ; {atom})) * {factors[2]}"
+        stages.append(stage)
+    seps = [" ;\n", ";", " ; # next stage\n  "]
+    return "".join(s + rng.choice(seps) for s in stages[:-1]) + stages[-1]
+
+
+def test_valid_sources_take_the_atom_path(monkeypatch):
+    rng = random.Random(20260419)
+    texts = [_bench_like_source(rng, wires, depth)
+             for wires, depth in [(2, 300), (3, 250), (4, 200), (9, 6),
+                                  (6, 12), (8, 8)]]
+    texts += ["# a comment first\n(( swap ;\n cap ) * cup) ; ket ( 0012 )\n",
+              "box(U) * box ( id ) ; spider(0,2,-pi) # last\n"]
+    want = [_oracle_parse(text) for text in texts]
+    assert sum(len(t.stages) for t in want if isinstance(t, Seq)) > 770
+
+    def no_tokens(text):
+        raise AssertionError("a valid source was lexed token by token")
+
+    # the package's ``parse`` attribute is the function, not its module
+    monkeypatch.setattr(sys.modules["qgamelab.diagrams.parse"], "_tokenize",
+                        no_tokens)
+    for text, term in zip(texts, want):
+        assert parse(text) == term
+    with pytest.raises(AssertionError, match="token by token"):
+        parse("id(1) id(1)")
+
+
+@pytest.mark.parametrize("text", [
+    "cupcap", "idx(1)", "swap2", "id(1.)", "id(1e5)", "id(12abc)",
+    "ket(0012)", "ket(0x)", "box(pi)", "box(id)", "spider ( 1 , 2 )",
+    "spider(1,#c\n2)", "spider(1,2,- 0.25 pi)", "spider(1,2,.5pi)",
+    "spider(1,2,7.pi)", "spider(1,2,1epi)", "spider(1,2,pix)",
+    "spider(1,2,2.5e+2pi)",
+    # more boundaries: a keyword as an argument, a comment that hides
+    # the close, a phase split by comments, signs and numbers that end
+    "cup.5", "cup;cap", "id(1)x", "box(cup)", "box(id(1))", "ket(swap)",
+    "spider(1, id(1))", "id(1 # )\n)", "id(1 # )", "spider(1,2,-#c\n.5#d\npi)",
+    "spider(1,2,-)", "spider(1,2,)", "spider(1,2,--1)", "spider(1,2,1e+)",
+    "spider(1,2,pi pi)", "spider(1,2,0.5 0.5)", "spider(1,2,\n\n pi\n)",
+    "id(١٢)", "id(²)", "box(é)", "box(x1é)", "box(_)", "ket(007) ;", "(id(1)", "id(1))", "", "  # only\n",
+    "spider(1,2" + " " * 5000 + "x", "spider(1,2,-" + "\n" * 5000 + ")",
+])
+def test_atom_boundaries_match_the_oracle(text):
+    assert _outcome(parse, text) == _outcome(_oracle_parse, text)

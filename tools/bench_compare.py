@@ -13,9 +13,10 @@ Each row gives the parent's value, the change's, their ratio, and
 whether the change is worse than the parent by more than the metric's
 bound in ``BENCHMARK.json`` at the repository root: by more than
 ``bound`` times the parent's value, in the metric's worse direction.
-The exit status is 1 when any metric is, 0 when none is, and 2 on a
-wrong number of arguments.  Nothing is written, and no bound is
-changed.
+The exit status is 1 when any metric is, 0 when none is, and 2 with
+the usage line on a wrong number of arguments or on an argument that
+is not a readable JSON file, such as ``--help``.  Nothing is written,
+and no bound is changed.
 """
 
 from __future__ import annotations
@@ -69,12 +70,16 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) \
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2:
-        sides = _load(argv[1])["sides"]
+    try:
+        docs = [_load(p) for p in argv[1:]] if len(argv) in (2, 3) else []
+    except (OSError, ValueError):  # unreadable, or not JSON
+        docs = []
+    if len(docs) == 1:
+        sides = docs[0]["sides"]
         parent, change = sides["parent"]["medians"], \
             sides["change"]["medians"]
-    elif len(argv) == 3:
-        parent, change = (record_values(_load(p)) for p in argv[1:])
+    elif len(docs) == 2:
+        parent, change = (record_values(doc) for doc in docs)
     else:
         print("usage: bench_compare.py PARENT.json CHANGE.json | "
               "BENCH_N.json", file=sys.stderr)
