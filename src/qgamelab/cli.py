@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import sys
 
 import numpy as np
@@ -53,56 +52,55 @@ def _num(x: float) -> str:
     return f"{_round12(x):.12g}"
 
 
-def _distinct_text(values: np.ndarray, fmt) -> tuple[list[str], list]:
-    """``fmt(_round12(x))`` once for each distinct value of a matrix, and
-    the index of each entry's text, row by row."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    text = [fmt(_round12(x)) for x in distinct.tolist()]
-    return text, inverse.reshape(values.shape).tolist()
-
-
-def _complex_rows(array: np.ndarray, real_fmt, imag_fmt):
+def _complex_rows(array: np.ndarray, real_fmt, imag_fmt) -> list[list[str]]:
     """Each row of a complex matrix as the text of its entries: the real
     part through ``real_fmt`` then the imaginary part through
-    ``imag_fmt``, both rounded to 12 significant digits."""
-    real_text, real_rows = _distinct_text(array.real, real_fmt)
-    imag_text, imag_rows = _distinct_text(array.imag, imag_fmt)
-    for real_row, imag_row in zip(real_rows, imag_rows):
-        yield map(operator.add, map(real_text.__getitem__, real_row),
-                  map(imag_text.__getitem__, imag_row))
+    ``imag_fmt``, both rounded to 12 significant digits.  Each distinct
+    non-zero entry is formatted once, and every zero shares one text."""
+    nonzero = np.flatnonzero(array)
+    distinct, inverse = np.unique(array.ravel()[nonzero], return_inverse=True)
+    text = np.array([real_fmt(0.0) + imag_fmt(0.0)]
+                    + [real_fmt(_round12(z.real)) + imag_fmt(_round12(z.imag))
+                       for z in distinct.tolist()], dtype=object)
+    index = np.zeros(array.shape, dtype=np.intp)
+    index.flat[nonzero] = inverse + 1
+    return text[index].tolist()
 
 
-def _table_cells(array: np.ndarray):
+def _table_cells(array: np.ndarray) -> list[list[str]]:
     """Each row of a complex matrix as table cells such as ``0.5-1i``."""
     return _complex_rows(array, "{:.12g}".format, "{:+.12g}i".format)
 
 
-def _matrix_json(array: np.ndarray) -> str:
-    """A complex matrix as ``json.dumps(indent=2)`` writes its rows of
-    [re, im] pairs as a value of the top-level object."""
-    rows = _complex_rows(array, "[\n        {!r},\n        ".format,
-                         "{!r}\n      ]".format)
-    return ("[\n    [\n      "
-            + "\n    ],\n    [\n      ".join(",\n      ".join(cells)
-                                             for cells in rows)
-            + "\n    ]\n  ]")
+def _matrix_json(array: np.ndarray) -> list[str]:
+    """The pieces of a complex matrix as ``json.dumps(indent=2)`` writes its
+    rows of [re, im] pairs as a value of the top-level object: one string
+    per row, with the brackets between them."""
+    pieces = ["[\n    [\n      "]
+    for cells in _complex_rows(array, "[\n        {!r},\n        ".format,
+                               "{!r}\n      ]".format):
+        pieces += (",\n      ".join(cells), "\n    ],\n    [\n      ")
+    pieces[-1] = "\n    ]\n  ]"
+    return pieces
 
 
 def _json_text(report: dict) -> str:
     """The report as ``json.dumps(_json_ready(report), indent=2,
     sort_keys=True)`` writes it, except that an ndarray value is a complex
-    matrix, written straight from the array as rows of [re, im] pairs."""
-    fields = []
-    for key in sorted(report):
-        value = report[key]
+    matrix, written straight from the array as rows of [re, im] pairs.  The
+    pieces of every field are joined once, so the text is copied once."""
+    pieces = ["{\n  "]
+    for key, value in sorted(report.items()):
+        pieces.append(f"{json.dumps(key)}: ")
         if isinstance(value, np.ndarray):
-            text = _matrix_json(value)
+            pieces += _matrix_json(value)
         else:
             # a JSON string holds no raw newline: this indents layout only
-            text = json.dumps(_json_ready(value), indent=2,
-                              sort_keys=True).replace("\n", "\n  ")
-        fields.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+            pieces.append(json.dumps(_json_ready(value), indent=2,
+                                     sort_keys=True).replace("\n", "\n  "))
+        pieces.append(",\n  ")
+    pieces[-1] = "\n}"
+    return "".join(pieces)
 
 
 # --- command handlers -----------------------------------------------------
@@ -257,7 +255,10 @@ def _diagram_source(args) -> str:
         return args.expr
     if args.file is not None:
         with open(args.file, encoding="utf-8") as handle:
-            return handle.read()
+            try:
+                return handle.read()
+            except UnicodeDecodeError as exc:
+                raise GameLabError(f"{args.file}: not UTF-8 text ({exc})")
     raise GameLabError("no diagram given; pass it inline or via --file")
 
 
@@ -272,6 +273,9 @@ def _cmd_diagram_check(args) -> tuple[dict, list[str]]:
 
 def _cmd_diagram_eval(args) -> tuple[dict, list[str]]:
     term = parse(_diagram_source(args))
+    if args.dim < 1:
+        raise GameLabError(f"observable dims must be positive integers, "
+                           f"got {(args.dim,)}")
     if args.observable == "computational":
         obs = ObservableStructure.computational(args.dim)
     else:

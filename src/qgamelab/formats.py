@@ -597,7 +597,11 @@ def loads(text: str):
 
 def load_path(path):
     with open(path, encoding="utf-8") as handle:
-        return loads(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})")
+    return loads(text)
 
 
 def dumps(obj, advice=None) -> str:

@@ -695,6 +695,35 @@ def test_cli_observable_dim_is_checked_before_allocating(capsys):
     assert peak < 16 * 2 ** 20
 
 
+def test_cli_observable_dim_must_be_positive(capsys):
+    for dim in ("0", "-1"):
+        error = _json_error(capsys, ["diagram-eval", "id(1)", "--dim", dim])
+        assert error["type"] == "GameLabError"
+        assert "observable dims must be positive integers" in \
+            error["message"]
+
+
+def test_cli_input_that_is_not_utf8_is_a_documented_error(tmp_path,
+                                                          capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(FormatError, match="latin1.json"):
+        formats.load_path(str(path))
+    for command in ("bayes-payoff", "ewl-table"):
+        error = _json_error(capsys, [command, str(path)])
+        assert error["type"] == "FormatError"
+        assert str(path) in error["message"]
+    error = _json_error(capsys, ["diagram-check", "--file", str(path)])
+    assert error["type"] == "GameLabError"
+    assert str(path) in error["message"]
+    # a missing file or a directory keeps its OSError outcome
+    for missing, kind in ((tmp_path / "absent.json", "FileNotFoundError"),
+                          (tmp_path, "IsADirectoryError")):
+        for argv in (["bayes-payoff", str(missing)],
+                     ["diagram-check", "--file", str(missing)]):
+            assert _json_error(capsys, argv)["type"] == kind
+
+
 # ------------------------------------------------------ golden ewl output
 
 GOLDEN_PATH = Path(__file__).with_name("golden_ewl_cli.json")
@@ -994,12 +1023,27 @@ def _awkward_matrix(rng, shape: tuple[int, int], repeated: bool):
     return array
 
 
+def _sparse_matrix(rng, shape: tuple[int, int]):
+    """A seeded complex matrix of signed zeros in each part, with one
+    entry in a hundred (none in a small matrix) drawn from the awkward
+    values."""
+    parts = rng.choice((0.0, -0.0), size=(2,) + shape)
+    flat = parts.reshape(2, -1)
+    chosen = rng.choice(flat.shape[1], flat.shape[1] // 100, replace=False)
+    flat[:, chosen] = rng.choice(_AWKWARD_PARTS, (2, len(chosen)))
+    array = np.empty(shape, dtype=complex)
+    array.real, array.imag = parts
+    return array
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (81, 81),
                                    (256, 256)])
 def test_emitter_matches_the_old_path_byte_for_byte(shape):
     rng = np.random.default_rng(shape)
-    for repeated in (False, True):
-        array = _awkward_matrix(rng, shape, repeated)
+    arrays = [_awkward_matrix(rng, shape, repeated)
+              for repeated in (False, True)]
+    arrays += [_sparse_matrix(rng, shape), np.zeros(shape, dtype=complex)]
+    for array in arrays:
         report = {"pretty": "id(1)\n\"\u00e9\"", "dim": 3, "in_wires": 0,
                   "nested": {"b": [0.5, -0.0, 1e-17], "a": {"y": True,
                                                           "x": None}},
@@ -1027,6 +1071,24 @@ def test_cli_diagram_eval_matches_the_old_path_on_eight_wires(capsys):
     header = f"{pretty(term)}  (8 -> 8 wires, dim 2)"
     assert _run(capsys, argv) == \
         (0, "\n".join([header] + _oracle_table_rows(array)) + "\n", "")
+
+
+def test_emitting_a_sparse_map_copies_its_text_once():
+    """Every row's text and the joined document are alive together at the
+    peak, and nothing else of the text's size."""
+    term = parse("swap * swap * swap * swap")
+    report = {"pretty": pretty(term), "dim": 2, "in_wires": 8,
+              "out_wires": 8,
+              "matrix": evaluate(term, ObservableStructure.computational(2))
+              .array}
+    tracemalloc.start()
+    try:
+        text = cli._json_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2 * 2 ** 20
+    assert peak < 2.5 * len(text)
 
 
 def test_main_builds_its_parser_once_and_apart_from_build_parser():
