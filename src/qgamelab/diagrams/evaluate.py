@@ -12,11 +12,10 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import ShapeMismatchError, UnboundBoxError
+from ..errors import ShapeMismatchError
 from ..linalg import (
     LinearMap,
     apply_on_span,
-    apply_on_wires,
     check_dims,
     check_wires,
     identity,
@@ -30,7 +29,6 @@ from .terms import (
     Cup,
     DiagramTerm,
     Id,
-    Ket,
     Par,
     Seq,
     Spider,
@@ -78,8 +76,7 @@ def _on_every_leg(points: np.ndarray, legs: int) -> np.ndarray:
 def swap_map(dim: int) -> LinearMap:
     """The identity on two wires with its output legs exchanged."""
     dims = check_dims((dim, dim), "swap dims")
-    eye = np.eye(dim * dim, dtype=complex).reshape((dim,) * 4)
-    arr = eye.transpose(1, 0, 2, 3).reshape(dim * dim, dim * dim)
+    arr = swap_on_span(np.eye(dim * dim, dtype=complex), (), dim)
     return LinearMap(arr, dims, dims)
 
 
@@ -91,9 +88,9 @@ def ket_map(obs: ObservableStructure, digits: str) -> LinearMap:
                 f"ket digit {c} out of range for dimension {d}")
     out_dims = check_wires(d, len(digits), "ket dims")
     points = obs.point_matrix()
-    col = apply_on_wires([points[:, [int(c)]] for c in digits],
-                         np.ones((1,) * len(digits), dtype=complex))
-    return LinearMap(col.reshape(-1, 1), (), out_dims)
+    col = tensor_in_place([points[:, [int(c)]] for c in digits])
+    # finite: tensor_in_place checks every entry it writes
+    return LinearMap._of_finite(col, (), out_dims)
 
 
 def evaluate(term: DiagramTerm, obs: ObservableStructure,
@@ -135,9 +132,7 @@ class _Evaluation:
             return self._seq(term.stages)
         if isinstance(term, Par):
             return self._par(term.factors)
-        if isinstance(term, Box):
-            if self.boxes is None or term.name not in self.boxes:
-                raise UnboundBoxError(f"box {term.name!r} is not bound")
+        if isinstance(term, Box):   # typecheck has found it bound
             return self.boxes[term.name]
         if term not in self.atoms:
             self.atoms[term] = _atom_map(term, self.obs)
@@ -158,6 +153,18 @@ class _Evaluation:
                 arr, wires = acc.array, len(acc.out_dims)
         return LinearMap(arr, first.in_dims, (self.obs.dim,) * wires)
 
+    def _factors(self, factors) -> list[tuple[int, int, object]]:
+        """(inputs, outputs, block) per factor of a ``Par``: an ``Id``'s
+        block is its wire count, any other factor's is its matrix."""
+        walked = []
+        for f in factors:
+            if isinstance(f, Id):
+                walked.append((f.wires, f.wires, f.wires))
+            else:
+                m = self.map(f)
+                walked.append((len(m.in_dims), len(m.out_dims), m.array))
+        return walked
+
     def _stream(self, factors, arr: np.ndarray,
                 wires: int) -> tuple[np.ndarray, int]:
         """Apply one ``Par`` stage to the rows of ``arr``, factor by factor.
@@ -167,47 +174,29 @@ class _Evaluation:
         wider side of the stage.
         """
         d = self.obs.dim
-        sides, ops = [], []     # (inputs, outputs) and matrix per factor
-        for f in factors:
-            if isinstance(f, Id):
-                sides.append((f.wires, f.wires))
-                ops.append(None)
-            elif isinstance(f, Swap):
-                sides.append((2, 2))
-                ops.append(None)
-            else:
-                m = self.map(f)
-                sides.append((len(m.in_dims), len(m.out_dims)))
-                ops.append(m.array)
-        width = [ins for ins, _ in sides]   # each factor's wires so far
-        for k in sorted(range(len(factors)),
-                        key=lambda k: sides[k][1] > sides[k][0]):
+        walked = self._factors(factors)
+        width = [ins for ins, _, _ in walked]   # each factor's wires so far
+        for k in sorted(range(len(walked)),
+                        key=lambda k: walked[k][1] > walked[k][0]):
+            ins, outs, block = walked[k]
             if isinstance(factors[k], Id):
                 continue
             before = (d,) * sum(width[:k])
-            wires += sides[k][1] - width[k]
+            wires += outs - ins
             self._dims(wires, "Par stage intermediate dims")
             if isinstance(factors[k], Swap):
                 arr = swap_on_span(arr, before, d)
             else:
-                arr = apply_on_span(ops[k], arr, before)
-            width[k] = sides[k][1]
+                arr = apply_on_span(block, arr, before)
+            width[k] = outs
         return arr, wires
 
     def _par(self, factors) -> LinearMap:
         """The Kronecker product of the factors, in one allocation."""
         d = self.obs.dim
-        blocks, ins, outs = [], 0, 0
-        for f in factors:
-            if isinstance(f, Id):
-                blocks.append(f.wires)
-                ins, outs = ins + f.wires, outs + f.wires
-            else:
-                m = self.map(f)
-                blocks.append(m.array)
-                ins, outs = ins + len(m.in_dims), outs + len(m.out_dims)
-        in_dims = self._dims(ins, "Par in_dims")
-        out_dims = self._dims(outs, "Par out_dims")
+        ins, outs, blocks = zip(*self._factors(factors))
+        in_dims = self._dims(sum(ins), "Par in_dims")
+        out_dims = self._dims(sum(outs), "Par out_dims")
         blocks = [d ** b if isinstance(b, int) else b for b in blocks]
         return LinearMap._of_finite(tensor_in_place(blocks), in_dims,
                                     out_dims)
@@ -224,9 +213,7 @@ def _atom_map(term: DiagramTerm, obs: ObservableStructure) -> LinearMap:
         return spider_map(obs, 2, 0)
     if isinstance(term, Swap):
         return swap_map(obs.dim)
-    if isinstance(term, Ket):
-        return ket_map(obs, term.digits)
-    raise TypeError(f"not a diagram term: {term!r}")
+    return ket_map(obs, term.digits)    # typecheck rules out all else
 
 
 def ghz_state_map(obs: ObservableStructure, legs: int) -> LinearMap:

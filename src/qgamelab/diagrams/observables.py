@@ -122,8 +122,7 @@ class ObservableStructure:
     def computational(cls, dim: int = 2) -> "ObservableStructure":
         """The Z-type observable: standard basis vectors."""
         check_dims((dim,), "observable dims")
-        eye = np.eye(dim, dtype=complex)
-        return cls(tuple(StateVector(eye[:, k], (dim,)) for k in range(dim)))
+        return cls.from_matrix(np.eye(dim))
 
     @classmethod
     def fourier(cls, dim: int = 2) -> "ObservableStructure":

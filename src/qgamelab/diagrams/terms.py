@@ -8,6 +8,7 @@ by the observable the term is evaluated against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -15,14 +16,22 @@ from ..errors import UnboundBoxError, WireCountError
 from .observables import PhaseElement
 
 
+def _count(value, what: str) -> int:
+    """A wire or leg count as a Python int, through ``operator.index``,
+    so a numpy integer or a bool is one; ValueError naming ``what`` if it
+    is negative or not an integer at all, such as 2.0 or "1"."""
+    n = operator.index(value) if hasattr(value, "__index__") else -1
+    if n < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Id:
     wires: int
 
     def __post_init__(self):
-        if self.wires < 0:
-            raise ValueError(f"id needs a nonnegative wire count, "
-                             f"got {self.wires}")
+        object.__setattr__(self, "wires", _count(self.wires, "id wire count"))
 
 
 @dataclass(frozen=True)
@@ -32,8 +41,9 @@ class Spider:
     phase: PhaseElement | None = None
 
     def __post_init__(self):
-        if self.inputs < 0 or self.outputs < 0:
-            raise ValueError("spider legs must be nonnegative")
+        for legs in ("inputs", "outputs"):
+            count = _count(getattr(self, legs), f"spider {legs}")
+            object.__setattr__(self, legs, count)
 
 
 @dataclass(frozen=True)
