@@ -254,9 +254,9 @@ def test_bialgebra_law_at_d2():
 
 @pytest.mark.parametrize("legs", [(1, 1), (1, 2), (2, 1), (0, 3), (2, 2)])
 def test_pi_copy_at_d2(legs):
-    """The Pauli X box passes through a computational spider of phase a,
-    landing on every other leg, negating the phase, and leaving the
-    scalar exp(i a)."""
+    """A Pauli X box on each input leg of a computational spider of
+    phase a moves to each of its output legs, negating the phase and
+    leaving the scalar exp(i a)."""
     m, n = legs
     z = ObservableStructure.computational(2)
     # the Pauli X is the Fourier spider of phase pi
