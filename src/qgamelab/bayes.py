@@ -26,11 +26,13 @@ checked grids, and a key outside a table's domain is named by
 ``_Domain._of_grid`` is the one path from a grid: it builds a game,
 classical advice, a conditional or an expression from arrays on a
 checked domain, with every other check of the constructor run on the
-arrays themselves.  The loader builds games and classical advice
-through it, each advice object reduces to its conditional once through
-it, a game's payoff becomes an expression through it, and no grid goes
-through a label-keyed dict on the way.  Payoffs, Bell values and every
-search read the stored arrays.
+arrays themselves, through ``linalg._of_checked``, the one bypass of a
+constructor's checks.  The loader, ``chsh_game`` and ``mermin_game``
+build games through it, and the loader classical advice; each advice
+object reduces to its conditional once through it, a game's payoff
+becomes an expression through it, and no grid goes through a
+label-keyed dict on the way.  Payoffs, Bell values and every search read
+the stored arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,8 +51,9 @@ from .errors import (
     NormalizationError,
     ShapeMismatchError,
 )
-from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, apply_on_wires,
-                     check_domain, check_wires, distributions, orthonormal)
+from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, _of_checked,
+                     apply_on_wires, check_domain, check_wires, distributions,
+                     orthonormal, outcome_labels)
 from .linalg import table_grid as _grid
 
 EQUILIBRIUM_TOL = 1e-9
@@ -122,12 +125,8 @@ class _Domain:
         label-keyed table in between.  A game's grid is the pair (prior,
         payoffs), and classical advice's (rho, response grids); the
         fields in ``given`` are set as given, and every other is None."""
-        new = cls.__new__(cls)
-        vars(new).update(dict.fromkeys(f.name for f in fields(cls)),
-                         types=domain.types, strategies=domain.strategies,
-                         _unchecked=grid, **given)
-        new.__post_init__()
-        return new
+        return _of_checked(cls, grid, types=domain.types,
+                           strategies=domain.strategies, **given)
 
     @property
     def players(self) -> int:
@@ -698,13 +697,12 @@ def ghz_phase_distribution(n: int, phases: Sequence[float]) \
     if len(alphas) != n:
         raise DomainMismatchError(
             f"{len(alphas)} phases for {n} parties")
-    check_wires(2, n, "outcome dims")
+    dims = check_wires(2, n, "outcome dims")
     c = math.cos(math.fsum(alphas))
-    out = {}
-    for bits in itertools.product("01", repeat=n):
-        s = "".join(bits)
-        out[s] = (1.0 + parity(s) * c) / 2 ** n
-    return out
+    # (-1)^parity(s) for every bit string s, in index order
+    signs = (-1) ** np.indices(dims).sum(axis=0).ravel()
+    weights = (1.0 + signs * c) / 2 ** n
+    return dict(zip(outcome_labels(dims), weights.tolist()))
 
 
 MERMIN_SETTINGS = ("XXX", "XYY", "YXY", "YYX")
@@ -853,16 +851,10 @@ BITS = ("0", "1")
 def chsh_game() -> BayesianGame:
     """The common-interest CHSH game: uniform prior on joint types,
     both players paid 1 when s_1 xor s_2 = X_1 and X_2."""
-    types = (BITS, BITS)
-    strategies = (BITS, BITS)
-    prior = {jt: 0.25 for jt in itertools.product(BITS, BITS)}
-    table = {}
-    for jt in itertools.product(BITS, BITS):
-        for js in itertools.product(BITS, BITS):
-            want = int(jt[0]) * int(jt[1])
-            got = (int(js[0]) + int(js[1])) % 2
-            table[(jt, js)] = 1.0 if got == want else 0.0
-    return BayesianGame(types, strategies, prior, (table, table))
+    x1, x2, s1, s2 = np.indices((2,) * 4).reshape(4, -1)
+    win = ((s1 ^ s2) == (x1 & x2)).astype(float)
+    return BayesianGame._of_grid(_Domain((BITS, BITS), (BITS, BITS)),
+                                 (np.full(4, 0.25), np.array([win, win])))
 
 
 def chsh_expression(player: int = 0) -> BellExpression:
@@ -886,17 +878,13 @@ def mermin_game() -> BayesianGame:
     types XXX, XYY, YXY, YYX; every player's payoff is the outcome
     parity, negated outside XXX.
     """
-    types = (("X", "Y"),) * 3
-    strategies = (BITS,) * 3
-    prior = {jt: 0.0 for jt in itertools.product(*types)}
-    for setting in MERMIN_SETTINGS:
-        prior[tuple(setting)] = 0.25
-    table = {}
-    for jt in itertools.product(*types):
-        sign = 1 if "".join(jt) == "XXX" else -1
-        for js in itertools.product(*strategies):
-            table[(jt, js)] = float(sign * parity("".join(js)))
-    return BayesianGame(types, strategies, prior, (table,) * 3)
+    # with X as type 0 and Y as 1, the settings are the joint types with
+    # an even number of Ys
+    prior = np.where(np.indices((2,) * 3).sum(axis=0).ravel() % 2, 0.0, 0.25)
+    x, s = np.indices((2,) * 6).reshape(2, 3, -1)
+    pay = np.where(x.any(axis=0), -1.0, 1.0) * (-1.0) ** s.sum(axis=0)
+    return BayesianGame._of_grid(_Domain((("X", "Y"),) * 3, (BITS,) * 3),
+                                 (prior, np.array([pay] * 3)))
 
 
 def mermin_expression(player: int = 0) -> BellExpression:

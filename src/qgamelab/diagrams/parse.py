@@ -11,6 +11,8 @@ Grammar (whitespace-insensitive, ``#`` comments to end of line):
              | "(" diagram ")"
     phase   := ["-"] (real ["pi"] | "pi")     in radians
 
+A ``nat``, ``digits`` or ``real`` is written with the ASCII digits 0-9.
+
 The atom rules come from ``ATOM_SYNTAX`` in ``terms.py``, the one place
 that lists each atom's keyword and arguments; ``pretty()`` reads it too.
 
@@ -34,7 +36,9 @@ from ..errors import DiagramSyntaxError
 from .observables import PhaseElement
 from .terms import ATOM_SYNTAX, DiagramTerm, Par, Seq
 
-_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+# Only the ASCII digits 0-9 are digits: ``\d`` would take every script's.
+_NUMBER = (r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+           r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?")
 
 _TOKEN_RE = re.compile(rf"""
     (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
@@ -67,10 +71,10 @@ def _phase(text: str) -> PhaseElement:
 # only an identifier token (so is an atom keyword) is an identifier, so
 # a token is a "nat", "digits" or "name" if its text matches the pattern.
 _ARGUMENTS = {
-    "nat": ("natural number", r"\d+", int),
-    "digits": ("digit string", r"\d+", str),
+    "nat": ("natural number", r"[0-9]+", int),
+    "digits": ("digit string", r"[0-9]+", str),
     "name": ("box name", r"[A-Za-z_][A-Za-z_0-9]*", str),
-    "phase": ("phase", rf"(?:-{_SKIP})?(?=\.?\d|pi)(?:{_NUMBER})?"
+    "phase": ("phase", rf"(?:-{_SKIP})?(?=\.?[0-9]|pi)(?:{_NUMBER})?"
                        rf"(?:{_SKIP}pi)?", _phase)}
 
 

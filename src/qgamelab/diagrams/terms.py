@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from ..errors import UnboundBoxError, WireCountError
+from ..linalg import ascii_digits
 from .observables import PhaseElement
 
 
@@ -71,7 +72,7 @@ class Ket:
     digits: str
 
     def __post_init__(self):
-        if not self.digits or not self.digits.isdigit():
+        if not ascii_digits(self.digits):
             raise ValueError(f"ket needs a nonempty digit string, "
                              f"got {self.digits!r}")
 

@@ -12,8 +12,12 @@ player's stack of gates, and ``linalg.born_weights`` turns each block of
 final states into checked Born weights.  ``StrategicFormGame`` builds that array once, in
 its constructor, and Nash and Pareto scans and ``quantize`` read it; the
 scans read a spec's array as it comes out of the contraction.
-Label strings appear only where a table becomes a dict in product order
-of the label lists, which is also the order ``StrategicFormGame`` keeps.
+``to_strategic_form`` hands that array to the game through
+``linalg._of_checked``, the one bypass of a constructor's checks, so a
+spec's table never becomes a label-keyed dict that is parsed back, and
+``payoff_table`` is that game's payoffs.  Label strings appear only
+where a table becomes a dict in product order of the label lists, which
+is also the order ``StrategicFormGame`` keeps.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from .linalg import (
     PROB_TOL,
     LinearMap,
     StateVector,
+    _of_checked,
     apply_on_wires,
+    ascii_digits,
     born_weights,
     check_wires,
     from_matrix,
@@ -64,25 +70,30 @@ class StrategicFormGame:
     def __post_init__(self):
         labels = tuple(tuple(per) for per in self.strategy_labels)
         object.__setattr__(self, "strategy_labels", labels)
-        if not labels or any(not per for per in labels):
-            raise DomainMismatchError("every player needs at least one "
-                                      "strategy label")
-        for i, per in enumerate(labels):
-            if len(set(per)) != len(per):
-                raise DomainMismatchError(
-                    f"player {i} has duplicate strategy labels: {per}")
         n = len(labels)
         profiles = list(itertools.product(*labels))
-        # the keys are checked on the row widths, which must all be n
-        widths = table_grid(profiles, dict(zip(
-            self.payoffs, map(len, self.payoffs.values()))), "payoff table")
-        off = np.flatnonzero(widths != n)
-        if off.size:
-            raise DomainMismatchError(
-                f"profile {profiles[off[0]]} has {int(widths[off[0]])} "
-                f"payoffs for {n} players")
-        pay = np.fromiter(map(float, itertools.chain.from_iterable(map(
-            self.payoffs.__getitem__, profiles))), float, len(profiles) * n)
+        # set only by to_strategic_form: a spec's payoff array, on labels
+        # the spec has checked
+        pay = vars(self).pop("_unchecked", None)
+        if pay is None:
+            if not labels or any(not per for per in labels):
+                raise DomainMismatchError("every player needs at least one "
+                                          "strategy label")
+            for i, per in enumerate(labels):
+                if len(set(per)) != len(per):
+                    raise DomainMismatchError(
+                        f"player {i} has duplicate strategy labels: {per}")
+            # the keys are checked on the row widths, which must all be n
+            widths = table_grid(profiles, dict(zip(self.payoffs, map(
+                len, self.payoffs.values()))), "payoff table")
+            off = np.flatnonzero(widths != n)
+            if off.size:
+                raise DomainMismatchError(
+                    f"profile {profiles[off[0]]} has {int(widths[off[0]])} "
+                    f"payoffs for {n} players")
+            pay = np.fromiter(map(float, itertools.chain.from_iterable(map(
+                self.payoffs.__getitem__, profiles))), float,
+                len(profiles) * n)
         object.__setattr__(self, "payoffs", dict(zip(
             profiles, map(tuple, pay.reshape(-1, n).tolist()))))
         # the payoffs as (k_0..k_{N-1}, player), in product order
@@ -177,7 +188,7 @@ class QuantumGameSpec:
         object.__setattr__(self, "payoff_coeffs", tables)
 
         init = self.initial_ket or "0" * n
-        if len(init) != n or not init.isdigit() or \
+        if not ascii_digits(init) or len(init) != n or \
                 any(int(c) >= d for c in init):
             raise DomainMismatchError(
                 f"initial ket {init!r} is not a length-{n} base-{d} string")
@@ -304,13 +315,15 @@ def payoffs(spec: QuantumGameSpec, profile: Iterable[str]) -> tuple[float, ...]:
 
 def payoff_table(spec: QuantumGameSpec) -> PayoffTable:
     """Payoffs for every profile, in product order of the label lists."""
-    labels = spec.strategy_labels
-    rows = _payoff_array(spec, labels).reshape(-1, spec.players).tolist()
-    return dict(zip(itertools.product(*labels), map(tuple, rows)))
+    return to_strategic_form(spec).payoffs
 
 
 def to_strategic_form(spec: QuantumGameSpec) -> StrategicFormGame:
-    return StrategicFormGame(spec.strategy_labels, payoff_table(spec))
+    """The spec's payoff array as a game, with no label-keyed table in
+    between: the spec's own checks cover everything the game's would."""
+    labels = spec.strategy_labels
+    return _of_checked(StrategicFormGame, _payoff_array(spec, labels),
+                       strategy_labels=labels, payoffs=None)
 
 
 def _as_game(game) -> StrategicFormGame:

@@ -62,8 +62,8 @@ from .linalg import (
 )
 
 _ANGLE_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?(?P<pi>pi)?"
-    r"(?:/(?P<den>\d+(?:\.\d+)?))?$")
+    r"^(?P<sign>[+-]?)(?P<coef>[0-9]+(?:\.[0-9]+)?)?(?P<pi>pi)?"
+    r"(?:/(?P<den>[0-9]+(?:\.[0-9]+)?))?$")
 
 
 def parse_angle(value) -> float:

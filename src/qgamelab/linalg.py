@@ -32,9 +32,17 @@ array and what makes its rows distributions:
   no weight below -``ALGEBRA_TOL`` (smaller negatives are clamped to 0),
   and unit mass within a tolerance.
 
+``_of_checked`` is the one bypass of a constructor's checks in the
+library: it builds a frozen dataclass around input that has already
+passed some of them, and the constructor runs every other.
+``LinearMap._of_finite`` and ``bayes._Domain._of_grid`` go through it,
+and so does ``ewl.to_strategic_form``.
+
 And it writes each remaining validation rule once:
 
 - ``check_domain`` names the keys of a table outside its domain.
+- ``ascii_digits`` is the rule of a digit string: a ket label, a
+  diagram ket's digits, an EWL spec's initial ket.
 - ``born_weights`` applies the Born rule to a batch of states and checks
   each is normalized.
 - ``orthonormal`` is the Gram test of a unitary or a measurement basis,
@@ -196,6 +204,24 @@ def distributions(p: np.ndarray, what, keys,
                              total=total)
 
 
+def _of_checked(cls, unchecked, **fields):
+    """The frozen dataclass ``cls`` built around input that has already
+    passed some of its constructor's checks: the one bypass of a
+    constructor in the library.
+
+    The fields are set as given, and any field not given is None.
+    ``__post_init__`` pops ``unchecked`` (the checked input, or True) and
+    skips only the checks that input has passed; every other runs.
+    """
+    new = cls.__new__(cls)
+    state = vars(new)
+    if len(fields) < len(cls.__dataclass_fields__):
+        state.update(dict.fromkeys(cls.__dataclass_fields__))
+    state.update(fields, _unchecked=unchecked)
+    new.__post_init__()
+    return new
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """A linear map between tensor products of finite-dimensional wires.
@@ -214,7 +240,7 @@ class LinearMap:
         out_dims = check_dims(self.out_dims, "out_dims")
         arr = self.array
         # set only by _of_finite, for entries it has already checked
-        if not vars(self).pop("_entries_checked", False):
+        if not vars(self).pop("_unchecked", False):
             arr = _as_complex(arr, "entries")
         expect = (math.prod(out_dims), math.prod(in_dims))
         if arr.shape != expect:
@@ -232,11 +258,8 @@ class LinearMap:
         """Wrap a complex array whose entries are already known to be
         finite: every check of the constructor runs except the pass
         over every entry."""
-        new = cls.__new__(cls)
-        vars(new).update(array=arr, in_dims=in_dims, out_dims=out_dims,
-                         _entries_checked=True)
-        new.__post_init__()
-        return new
+        return _of_checked(cls, True, array=arr, in_dims=in_dims,
+                           out_dims=out_dims)
 
     @property
     def rows(self) -> int:
@@ -530,9 +553,15 @@ def basis_state(index: int, dims) -> StateVector:
     return StateVector(amps, dims)
 
 
+def ascii_digits(value) -> bool:
+    """Whether ``value`` is a nonempty string of the digits 0-9 alone
+    (``str.isdigit`` also takes other scripts' digits and superscripts)."""
+    return isinstance(value, str) and value.isascii() and value.isdigit()
+
+
 def ket(digits: str, dim: int = 2) -> StateVector:
     """Computational basis state from a digit string, one digit per wire."""
-    if not digits or not digits.isdigit():
+    if not ascii_digits(digits):
         raise ValueError(f"ket label must be a nonempty digit string, "
                          f"got {digits!r}")
     values = [int(c) for c in digits]
