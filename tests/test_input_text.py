@@ -23,16 +23,10 @@ from qgamelab.errors import (
 from qgamelab.ewl import QuantumGameSpec, ewl_entangler
 from qgamelab.linalg import BUILTIN_GATES, ascii_digits, ket
 
+from test_cli import _json_error
+
 ARABIC_ONE, ARABIC_TWO, ARABIC_ZERO = "١", "٢", "٠"
 SUPERSCRIPT_TWO = "²"
-
-
-def _json_error(capsys, argv):
-    code = main(argv + ["--output", "json"])
-    captured = capsys.readouterr()
-    assert code == 1, captured
-    assert captured.err.startswith("error: ")
-    return json.loads(captured.out)["error"]
 
 
 def test_ascii_digits_is_the_digit_rule():
