@@ -3,8 +3,9 @@
 Every command prints a human-oriented table by default and a stable
 JSON document with ``--output json``: keys are documented and sorted,
 floats carry 12 significant digits, and identical inputs produce
-byte-identical output.  Exit status 0 means success, 1 means bad input
-or a validation failure, 2 means an enumeration or dimension cap was
+byte-identical output.  Exit status 0 means success, 1 means bad input,
+a validation failure or a reader that closed standard output before the
+report was written, 2 means an enumeration or dimension cap was
 exceeded.
 """
 
@@ -15,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -301,6 +303,20 @@ def _cmd_diagram_eval(args) -> tuple[dict, list[str]]:
 
 # --- argument parsing and dispatch ----------------------------------------
 
+def _ascii(parse):
+    """``parse``, ``int`` or ``float``, on ASCII text alone.  Both
+    builtins read every script's decimal digits, while every other input
+    takes the digits 0-9 only (``linalg.ascii_digits``).  The wrapper
+    keeps the builtin's name, which argparse puts in its error message,
+    so ``--n`` given an Arabic-Indic two fails exactly as ``--n x`` does."""
+    def read(text: str):
+        if not text.isascii():
+            raise ValueError(f"not ASCII: {text!r}")
+        return parse(text)
+    read.__name__ = parse.__name__
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--output", choices=("table", "json"),
@@ -309,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     ewl_spec = argparse.ArgumentParser(add_help=False, parents=[shared])
     ewl_spec.add_argument("input", help="path to an ewl JSON spec")
     player = argparse.ArgumentParser(add_help=False, parents=[shared])
-    player.add_argument("--player", type=int, default=0,
+    player.add_argument("--player", type=_ascii(int), default=0,
                         help="player index (0-based)")
     diagram = argparse.ArgumentParser(add_help=False, parents=[shared])
     diagram.add_argument("expr", nargs="?", default=None,
@@ -331,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pure Nash equilibria of an EWL game spec")
     p.add_argument("--pareto", action="store_true",
                    help="also list Pareto-optimal profiles")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_ascii(float), default=None,
                    help="numeric tolerance override")
     p.set_defaults(handler=_cmd_ewl_nash)
 
@@ -350,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classical bound of a player's payoff "
                             "expression")
     p.add_argument("input", help="path to a bayes JSON spec")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_ascii(int), default=None,
                    help="enumeration cap override")
     p.set_defaults(handler=_cmd_bell_bound)
 
@@ -361,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ghz-dist", parents=[shared],
                        help="GHZ phase-measurement distribution")
-    p.add_argument("--n", type=int, default=None, help="party count")
+    p.add_argument("--n", type=_ascii(int), default=None, help="party count")
     p.add_argument("--phases", required=True,
                    help="comma-separated angles; pi fractions allowed")
     p.set_defaults(handler=_cmd_ghz_dist)
@@ -372,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram-eval", parents=[diagram],
                        help="evaluate a diagram to a matrix")
-    p.add_argument("--dim", type=int, default=2, help="wire dimension")
+    p.add_argument("--dim", type=_ascii(int), default=2, help="wire dimension")
     p.add_argument("--observable", choices=("computational", "fourier"),
                    default="computational",
                    help="observable structure the spiders use")
@@ -400,10 +416,21 @@ def main(argv=None) -> int:
         return _emit_error(exc, args, status=2)
     except (GameLabError, OSError, ValueError) as exc:
         return _emit_error(exc, args, status=1)
-    if args.output == "json":
-        print(_json_text(report))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.output == "json":
+            print(_json_text(report))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader closed stdout early.  What is still buffered goes to
+        # the null device, so the interpreter's flush at exit finds no
+        # broken pipe to report.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: standard output closed early: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,6 +18,14 @@ spec's table never becomes a label-keyed dict that is parsed back, and
 ``payoff_table`` is that game's payoffs.  Label strings appear only
 where a table becomes a dict in product order of the label lists, which
 is also the order ``StrategicFormGame`` keeps.
+
+``pareto_optimal`` picks its exact dominance test by the player count it
+reads from the table: two players take a sort and sweep in O(n log n)
+over the n profiles (Kung, Luccio & Preparata, J. ACM 22, 1975), three
+or more a quadratic scan in row blocks.  The sweep makes the block
+scan's float comparisons, ``q_k > r_k + tol`` and ``q_k >= r_k - tol``,
+so both give the same list; a profile with a NaN payoff neither
+dominates nor is dominated in either.
 """
 
 from __future__ import annotations
@@ -408,21 +416,62 @@ def _dominated(rows: np.ndarray, others: np.ndarray, tol: float) \
     return out
 
 
+def _dominated_pairs(rows: np.ndarray, tol: float) -> np.ndarray:
+    """``_dominated(rows, rows, tol)`` for two-column rows, by sort and
+    sweep in O(n log n).
+
+    Row r is dominated iff, for k = 0 or 1, some row q has
+    q_k > r_k + tol and q_{1-k} >= r_{1-k} - tol (strict in k implies
+    weak in k, since tol >= 0).  With the rows sorted by column k, the
+    q with q_k > r_k + tol are those after one ``searchsorted``, and the
+    suffix maximum of the other column says whether one of them reaches
+    r_{1-k} - tol.  Both comparisons are ``_dominated``'s, on the same
+    floats, so the answer is the same bit for bit.  A row with a NaN
+    fails every comparison there, so it is left out of the sort (NaN
+    would sort last and poison the maximum) and is never dominated.
+    """
+    out = np.zeros(len(rows), dtype=bool)
+    valid = ~(np.isnan(rows[:, 0]) | np.isnan(rows[:, 1]))
+    rows = rows[valid]
+    hit = np.zeros(len(rows), dtype=bool)
+    for k in (0, 1):
+        order = np.argsort(rows[:, k])
+        mine, other = rows[order, k], rows[order, 1 - k]
+        # best[j]: the largest other payoff at sorted position j or later;
+        # the NaN after the last fails the >= of a row nothing beats in k
+        best = np.append(np.maximum.accumulate(other[::-1])[::-1], np.nan)
+        # mine + tol is sorted too, which searchsorted runs faster on
+        above = np.searchsorted(mine, mine + tol, side="right")
+        hit[order] |= best[above] >= other - tol
+    out[valid] = hit
+    return out
+
+
 def pareto_optimal(game, tol: float = NASH_TOL) -> list[Profile]:
     """Profiles whose payoff vector no other profile dominates.
 
     Domination: weakly better for everyone (within ``tol``), strictly
     better (by more than ``tol``) for someone; ``tol`` must be finite
-    and non-negative.  Profiles come in product order.
+    and non-negative.  Profiles come in product order.  A profile with
+    a NaN payoff neither dominates nor is dominated.
+
+    Two players take an exact sort and sweep (``_dominated_pairs``),
+    O(n log n) in the n profiles; three or more take an exact scan in
+    row blocks of about 1 MiB, after a first pass against the rows of
+    highest payoff sum.  Both compare the same floats, so they agree.
     """
     _check_tol(tol)
     profiles, pay = _scanned(game)
     rows = pay.reshape(-1, pay.shape[-1])
-    # Rows with the highest sums dominate most others, so a pass against
-    # them leaves few rows for the exact scan against every row.
-    top = np.argsort(-rows.sum(axis=1), kind="stable")[:_FIRST_PASS]
-    alive = np.flatnonzero(~_dominated(rows, rows[top], tol))
-    alive = alive[~_dominated(rows[alive], rows, tol)]
+    if rows.shape[1] == 2:
+        alive = np.flatnonzero(~_dominated_pairs(rows, tol))
+    else:
+        # Rows with the highest sums dominate most others, so a pass
+        # against them leaves few rows for the exact scan against every
+        # row.
+        top = np.argsort(-rows.sum(axis=1), kind="stable")[:_FIRST_PASS]
+        alive = np.flatnonzero(~_dominated(rows, rows[top], tol))
+        alive = alive[~_dominated(rows[alive], rows, tol)]
     return [profiles[k] for k in alive]
 
 

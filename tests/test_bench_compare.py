@@ -3,6 +3,8 @@ import json
 import statistics
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "bench_compare", ROOT / "tools" / "bench_compare.py")
@@ -66,6 +68,19 @@ def test_the_committed_baseline_compares_its_stored_medians(capsys):
     assert bench_compare.main(["bench_compare.py", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 4 * len(PARENT)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_every_committed_baseline_holds_the_medians_of_its_runs(path):
+    bench = json.loads(path.read_text())
+    for side in bench["sides"].values():
+        for workload, runs in side["runs"].items():
+            assert {r["context"]["workload"] for r in runs} == {workload}
+            for name, median in side["medians"][workload].items():
+                assert median == statistics.median(
+                    r["result"]["metrics"][name]["value"] for r in runs)
+    assert bench_compare.main(["bench_compare.py", str(path)]) == 0
 
 
 def test_an_argument_that_is_not_a_readable_json_file_prints_the_usage(

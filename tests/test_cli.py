@@ -491,6 +491,22 @@ def test_cli_module_entry_point(tmp_path):
     assert json.loads(proc.stdout) == {"equilibria": [["H", "H"]]}
 
 
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_a_reader_that_closes_stdout_early_gets_a_documented_error(output):
+    # the report of a 256 x 256 Fourier map is megabytes, far more than a
+    # pipe holds, so the process is still writing when the reader leaves
+    argv = [sys.executable, "-m", "qgamelab", "diagram-eval", "spider(8,8)",
+            "--observable", "fourier", "--output", output]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert err == "error: standard output closed early: [Errno 32] " \
+                  "Broken pipe\n"
+
+
 def test_cli_diagram_over_the_dimension_cap_exits_2(capsys):
     code, out, err = _run(capsys, ["diagram-eval", "id(17)",
                                    "--output", "json"])

@@ -553,6 +553,89 @@ def test_pareto_scan_spans_several_blocks():
     assert pareto_optimal(game) == profiles[:-2]
 
 
+def test_three_player_pareto_scan_spans_several_blocks():
+    # 11 x 10 x 10 profiles: rows (10k, -10k, 0) never dominate each other
+    # and all have sum 0, so the first pass holds profiles 0-63.  The last
+    # three profiles are dominated only by profile 700, one through each
+    # player, and lie in the exact scan's second block.
+    shape = (11, 10, 10)
+    labels = tuple(tuple(f"s{k}" for k in range(n)) for n in shape)
+    n = math.prod(shape)
+    x = 10.0 * np.arange(n)
+    rows = np.column_stack([x, -x, np.zeros(n)])
+    rows[-3:] = rows[700] - [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0],
+                             [0.0, 0.0, 1.0]]
+    assert 700 >= ewl._FIRST_PASS
+    assert n - 3 >= ewl._BLOCK_BYTES // n  # past the first block
+    profiles = list(itertools.product(*labels))
+    game = StrategicFormGame(
+        labels, dict(zip(profiles, map(tuple, rows.tolist()))))
+    assert pareto_optimal(game) == profiles[:-3]
+
+
+def _block_scan_pareto(g, tol):
+    """The two-pass block scan's rule, every row against every row."""
+    rows = g._pay.reshape(-1, g.players)
+    return [p for p, out in zip(g.profiles(), ewl._dominated(rows, rows, tol))
+            if not out]
+
+
+def _two_player_game(pay):
+    """A game over labels s0, s1, ... with payoffs ``pay``, (k_0, k_1, 2)."""
+    labels = tuple(tuple(f"s{k}" for k in range(n)) for n in pay.shape[:2])
+    return StrategicFormGame(labels, dict(zip(
+        itertools.product(*labels), map(tuple, pay.reshape(-1, 2).tolist()))))
+
+
+def _edge_case_payoffs(rng, shape, tols):
+    """Two-player payoffs from a few levels, each nudged by 0, +-tol/2 or
+    +-tol for some tol, so rows tie exactly or sit on a comparison's
+    edge; about one entry in ten is NaN, +-inf or -0.0."""
+    nudges = np.concatenate([[0.0], *(t * np.array([-1.0, -0.5, 0.5, 1.0])
+                                      for t in tols)])
+    size = shape + (2,)
+    pay = rng.choice([-1.0, 0.0, 1.0, 2.0], size) + rng.choice(nudges, size)
+    special = rng.random(size) < 0.1
+    pay[special] = rng.choice([math.nan, math.inf, -math.inf, -0.0],
+                              special.sum())
+    return pay
+
+
+def test_two_player_sweep_matches_the_block_scan_and_the_oracle():
+    rng = np.random.default_rng(47)
+    tols = (0.0, NASH_TOL, 0.5)
+    shapes = [(1, 1), (1, 7), (7, 1), (36, 36)]
+    shapes += [tuple(rng.integers(1, 9, size=2)) for _ in range(40)]
+    games = [_two_player_game(_edge_case_payoffs(rng, shape, tols))
+             for shape in shapes]
+    assert any(math.isnan(v) for v in games[3]._pay.ravel())
+    # a row that no row beats in one column, at -inf in the other, is
+    # not dominated; nor is a row with a NaN, nor one that -0.0 ties
+    inf, nan = math.inf, math.nan
+    games += [_two_player_game(np.array([rows])) for rows in (
+        [(1.0, -inf), (0.0, 0.0)], [(-inf, 1.0), (0.0, 0.0)],
+        [(inf, -inf), (-inf, inf), (0.0, 0.0)], [(nan, 5.0), (0.0, 0.0)],
+        [(5.0, nan), (0.0, 0.0)], [(0.0, 1.0), (-0.0, 1.0), (nan, nan)])]
+    grid = list(ewl_strategy_grid(6, 6).items())
+    specs = [pd_quantum(("I", "X", "H", "Z"))]
+    for counts in ((1, 5), (5, 1), (36, 36)):
+        strategies = tuple(dict(grid[j] for j in rng.permutation(36)[:k])
+                           for k in counts)
+        coeffs = tuple(dict(zip(outcome_labels((2, 2)), rng.integers(
+            -3, 4, size=4).astype(float).tolist())) for _ in range(2))
+        specs.append(QuantumGameSpec(
+            players=2, strategies=strategies, payoff_coeffs=coeffs,
+            entangler=ewl_entangler(2)))
+    cases = [(g, (g, dict(g.payoffs))) for g in games]
+    cases += [(to_strategic_form(spec), (spec,)) for spec in specs]
+    for g, inputs in cases:
+        for tol in tols:
+            want = _block_scan_pareto(g, tol)
+            assert _oracle_pareto(g, tol) == want
+            for game in inputs:
+                assert pareto_optimal(game, tol=tol) == want, tol
+
+
 def test_nash_and_pareto_reject_bad_tolerance():
     spec = pd_quantum(("I", "X", "H"))
     for tol in (math.nan, -1.0, math.inf):

@@ -115,6 +115,33 @@ def test_spec_initial_ket_must_be_a_string():
                             entangler=ewl_entangler(2), initial_ket=initial)
 
 
+FULLWIDTH_TWO = "２"
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["bell-bound", "spec.json", "--player"], "int"),
+    (["bell-bound", "spec.json", "--limit"], "int"),
+    (["ghz-dist", "--phases", "0,0", "--n"], "int"),
+    (["diagram-eval", "id(1)", "--dim"], "int"),
+    (["ewl-nash", "spec.json", "--tolerance"], "float"),
+])
+@pytest.mark.parametrize("value", [ARABIC_TWO, "1" + ARABIC_ZERO,
+                                   FULLWIDTH_TWO, f"0.{ARABIC_ONE}"])
+def test_numeric_options_take_ascii_digits_only(argv, kind, value, capsys):
+    def refusal(text):
+        with pytest.raises(SystemExit) as info:
+            main(argv + [text])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return info.value.code, captured.err
+
+    code, err = refusal(value)
+    want_code, want = refusal("x")
+    assert f"invalid {kind} value: 'x'" in want
+    assert (code, err) == (want_code, want.replace("'x'", repr(value)))
+    assert code == 2
+
+
 # ------------------------------------------------------ non-UTF-8 files
 
 def _latin1_spec():
