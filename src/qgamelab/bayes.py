@@ -16,23 +16,24 @@ game, both kinds of advice, the conditional and the Bell expression all
 derive from it.  Each constructor lays its label-keyed tables out with
 ``_grid`` (``linalg.table_grid``) as float arrays with axes (X_1..X_N,
 S_1..S_N) in label order, and checks every table of distributions in one
-``linalg.distributions`` pass on that grid.  It keeps the grid privately:
-a game its prior, payoffs and coefficients mu(X) P_i(X, s) per player,
-classical advice its response tables, an expression its coefficients, a
-conditional its probabilities.  The public dicts are read back from the
-checked grids, and a key outside a table's domain is named by
-``linalg.check_domain``, as in ``_grid``; a measurement basis must pass
-``linalg.orthonormal``, all of a player's bases in one stacked product.
-``_Domain._of_grid`` is the one path from a grid: it builds a game,
-classical advice, a conditional or an expression from arrays on a
+``linalg.distributions`` pass on that grid.  It keeps the grid
+privately: a game its prior, payoffs and coefficients mu(X) P_i(X, s)
+per player, classical advice rho and its response tables, quantum advice
+the stack of bras its orthonormality check builds, an expression its
+coefficients, a conditional its probabilities.  The public dicts are
+read back from the checked grids, and a key outside a table's domain is
+named by ``linalg.check_domain``, as in ``_grid``; a measurement basis
+must pass ``linalg.orthonormal``, all of a player's bases in one stacked
+product.  ``_Domain._of_grid`` is the one path from a grid: it builds a
+game, classical advice, a conditional or an expression from arrays on a
 checked domain, with every other check of the constructor run on the
 arrays themselves, through ``linalg._of_checked``, the one bypass of a
 constructor's checks.  The loader, ``chsh_game`` and ``mermin_game``
 build games through it, and the loader classical advice; each advice
 object reduces to its conditional once through it, a game's payoff
-becomes an expression through it, and no grid goes through a
-label-keyed dict on the way.  Payoffs, Bell values and every search read
-the stored arrays.
+becomes an expression through it, and no grid goes through a label-keyed
+dict on the way.  Payoffs, Bell values and every search read the stored
+arrays.
 """
 
 from __future__ import annotations
@@ -74,13 +75,13 @@ def _label_lists(value, what: str) -> tuple[Labels, ...]:
 
 
 def _distribution(keys: list, raw: Mapping, what: str,
-                  grid: np.ndarray | None = None) -> dict:
-    """A table over ``keys`` that must be one distribution, missing
-    entries read as 0, clamped and checked; ``grid``, when given, holds
-    its values already laid out, and ``raw`` is not read."""
+                  grid: np.ndarray | None = None) -> np.ndarray:
+    """The checked row, in the order of ``keys``, of a table that must be
+    one distribution, missing entries read as 0 and tiny negatives
+    clamped; ``grid``, when given, holds its values already laid out, and
+    ``raw`` is not read."""
     grid = _grid(keys, raw, what, 0.0) if grid is None else grid
-    (row,) = distributions(grid[None], (what,), keys)
-    return dict(zip(keys, row.tolist()))
+    return distributions(grid[None], (what,), keys)[0]
 
 
 def _rows(keys: list, cols, table: Mapping, what: str,
@@ -165,8 +166,9 @@ class BayesianGame(_Domain):
         n = self.players
         # set only by _of_grid: the prior, and the payoffs as (n, cells)
         mu, pay = vars(self).pop("_unchecked", (None, None))
-        prior = _distribution(self.joint_types(), self.prior, "prior", mu)
-        object.__setattr__(self, "prior", prior)
+        joint_types = self.joint_types()
+        mu = _distribution(joint_types, self.prior, "prior", mu)
+        object.__setattr__(self, "prior", dict(zip(joint_types, mu.tolist())))
 
         cells = self._cells()
         if pay is None:
@@ -183,7 +185,7 @@ class BayesianGame(_Domain):
         # the prior mu(X), the payoffs P_i(X, s) stacked on axis 0, and
         # player i's Bell coefficients mu(X) P_i(X, s)
         shape = self._shape()
-        mu = np.reshape(list(prior.values()), shape[:n] + (1,) * n)
+        mu = mu.reshape(shape[:n] + (1,) * n)
         object.__setattr__(self, "_mu", mu)
         object.__setattr__(self, "_pay", pay.reshape((n,) + shape))
         object.__setattr__(self, "_alphas", mu * self._pay)
@@ -200,9 +202,9 @@ class BayesianGame(_Domain):
         types = _label_lists(
             [_ordered_values(tau, omega) for tau in type_maps], "type")
         joint_prior: dict[JointLabels, float] = {}
-        for w in omega:
+        for w, weight in zip(omega, rho.tolist()):
             jt = tuple(str(tau[w]) for tau in type_maps)
-            joint_prior[jt] = joint_prior.get(jt, 0.0) + rho[w]
+            joint_prior[jt] = joint_prior.get(jt, 0.0) + weight
         return cls(types, strategies, joint_prior, payoffs)
 
 
@@ -296,9 +298,9 @@ class ClassicalAdvice(_Domain):
         if not lambdas or len(set(lambdas)) != len(lambdas):
             raise DomainMismatchError("lambda values must be nonempty and "
                                       "distinct")
+        rho = _distribution(list(lambdas), self.rho, "rho", rho)
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "rho", _distribution(list(lambdas),
-                                                      self.rho, "rho", rho))
+        object.__setattr__(self, "rho", dict(zip(lambdas, rho.tolist())))
 
         if read is None and len(self.responses) != len(types):
             raise DomainMismatchError(
@@ -317,7 +319,9 @@ class ClassicalAdvice(_Domain):
                            for k, row in zip(keys, rows.tolist())})
             grids.append(rows.reshape(len(types[i]), len(lambdas), -1))
         object.__setattr__(self, "responses", tuple(tables))
-        # player i's p(s_i | X_i, lambda), with axes (X_i, lambda, S_i)
+        # rho(lambda), and player i's p(s_i | X_i, lambda) with axes
+        # (X_i, lambda, S_i)
+        object.__setattr__(self, "_rho", rho)
         object.__setattr__(self, "_responses", tuple(grids))
 
     @classmethod
@@ -345,7 +349,7 @@ def classical_conditional(advice: ClassicalAdvice) -> ConditionalDistribution:
     einsum over the checked response grids; a label per player (S_i X_i)
     fits numpy's 52 up to 32 players."""
     n = advice.players
-    operands, sizes = [np.array(list(advice.rho.values())), [n]], []
+    operands, sizes = [advice._rho, [n]], []
     for i, grid in enumerate(advice._responses):
         x_i, lam, s_i = grid.shape
         operands += [grid.transpose(1, 2, 0).reshape(lam, -1), [n, i]]
@@ -386,7 +390,7 @@ class QuantumAdvice(_Domain):
             raise DomainMismatchError(
                 f"{len(self.measurements)} measurement maps for {n} "
                 f"players")
-        cleaned = []
+        cleaned, bras = [], []
         for i, per in enumerate(self.measurements):
             check_domain(per, types[i], f"player {i} measurement table")
             d = self.shared_state.dims[i]
@@ -414,7 +418,10 @@ class QuantumAdvice(_Domain):
                     raise NormalizationError(
                         f"player {i} type {x!r}: basis is not orthonormal")
             cleaned.append(dict(zip(types[i], bases)))
+            bras.append(stack.transpose(1, 2, 0).conj())
         object.__setattr__(self, "measurements", tuple(cleaned))
+        # player i's bras <b_{X_i S_i}|, stacked as (S_i, d_i, X_i)
+        object.__setattr__(self, "_bras", tuple(bras))
 
     @classmethod
     def from_phases(cls, types, strategies, shared_state: StateVector,
@@ -435,9 +442,8 @@ def quantum_conditional(advice: QuantumAdvice) -> ConditionalDistribution:
     player i's bras stacked as (S_i, d_i, X_i): wire i leaves (S_i, X_i)."""
     n = advice.players
     psi = advice.shared_state.amplitudes.reshape(advice.shared_state.dims)
-    bras = [np.stack([[b.amplitudes for b in per[x]] for x in x_i], -1).conj()
-            for per, x_i in zip(advice.measurements, advice.types)]
-    out = np.moveaxis(apply_on_wires(bras, psi), range(1, 2 * n, 2), range(n))
+    out = np.moveaxis(apply_on_wires(advice._bras, psi), range(1, 2 * n, 2),
+                      range(n))
     return ConditionalDistribution._of_grid(advice, np.abs(out) ** 2)
 
 

@@ -6,7 +6,11 @@ floats carry 12 significant digits, and identical inputs produce
 byte-identical output.  Exit status 0 means success, 1 means bad input,
 a validation failure or a reader that closed standard output before the
 report was written, 2 means an enumeration or dimension cap was
-exceeded.
+exceeded or a usage error: a command line argparse refuses.  Every
+failure in JSON mode also prints one ``{"error": {"type", "message"}}``
+object on stdout, whose type is a ``GameLabError`` subclass
+(``UsageError`` for a usage error) or the ``OSError`` of a file that
+cannot be read.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 
 from . import bayes, ewl, formats
 from .diagrams import ObservableStructure, evaluate, parse, pretty, typecheck
-from .errors import DimensionLimitError, EnumerationLimitError, GameLabError
+from .errors import (DimensionLimitError, EnumerationLimitError,
+                     GameLabError, UsageError)
 from .linalg import outcome_labels
 
 _LIMIT_ERRORS = (EnumerationLimitError, DimensionLimitError)
@@ -317,6 +322,29 @@ def _ascii(parse):
     return read
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print and exit as argparse's
+    do, with the exit's cause a UsageError naming the refusal."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit as exc:
+            raise exc from UsageError(f"{self.prog}: {message}")
+
+
+def _json_requested(argv) -> bool:
+    """Whether ``argv`` asks for JSON output: its last ``--output json``
+    or ``--output=json``, read without argparse."""
+    mode = None
+    for before, arg in zip([None] + argv, argv):
+        if before == "--output":
+            mode = arg
+        elif arg.startswith("--output="):
+            mode = arg[len("--output="):]
+    return mode == "json"
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--output", choices=("table", "json"),
@@ -333,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     diagram.add_argument("--file", default=None, help="read the diagram "
                                                       "from a file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgamelab",
         description="Quantum game workbench: EWL games, Bayesian games "
                     "with advice, Bell bounds, and string diagrams.")
@@ -409,23 +437,33 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and its refusal on stderr
+        if isinstance(exc.__cause__, UsageError) and _json_requested(
+                sys.argv[1:] if argv is None else list(argv)):
+            _print(_error_json(exc.__cause__))
+        raise
     try:
         report, lines = args.handler(args)
     except _LIMIT_ERRORS as exc:
         return _emit_error(exc, args, status=2)
     except (GameLabError, OSError, ValueError) as exc:
         return _emit_error(exc, args, status=1)
+    return _print(_json_text(report) if args.output == "json"
+                  else "\n".join(lines))
+
+
+def _print(text: str) -> int:
+    """Print ``text`` on stdout and flush it: 0, or 1 and one ``error:``
+    line on stderr when the reader has closed stdout early."""
     try:
-        if args.output == "json":
-            print(_json_text(report))
-        else:
-            print("\n".join(lines))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # The reader closed stdout early.  What is still buffered goes to
-        # the null device, so the interpreter's flush at exit finds no
-        # broken pipe to report.
+        # What is still buffered goes to the null device, so the
+        # interpreter's flush at exit finds no broken pipe to report.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -434,9 +472,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def _error_json(exc: Exception) -> str:
+    return _json_text(
+        {"error": {"type": type(exc).__name__, "message": str(exc)}})
+
+
 def _emit_error(exc: Exception, args, status: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     if getattr(args, "output", "table") == "json":
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(_json_text(doc))
+        _print(_error_json(exc))
     return status

@@ -85,3 +85,7 @@ class FormatError(GameLabError):
 
 class UnsupportedDimensionError(GameLabError):
     """Operation defined only for qubit wires was asked for another size."""
+
+
+class UsageError(GameLabError):
+    """A command line does not match the CLI's documented usage."""

@@ -115,13 +115,6 @@ class StrategicFormGame:
     def profiles(self) -> list[Profile]:
         return list(itertools.product(*self.strategy_labels))
 
-    def payoff(self, profile: Profile) -> tuple[float, ...]:
-        try:
-            return self.payoffs[tuple(profile)]
-        except KeyError:
-            raise DomainMismatchError(
-                f"unknown profile {tuple(profile)}") from None
-
 
 @dataclass(frozen=True)
 class QuantumGameSpec:

@@ -173,26 +173,27 @@ def check_domain(table, keys, what: str) -> None:
             f"{what} has entries outside its domain: {extra[:4]}")
 
 
-def distributions(p: np.ndarray, what, keys,
-                  tol: float = PROB_TOL) -> np.ndarray:
+def distributions(p: np.ndarray, what, keys) -> np.ndarray:
     """Check that every row of the 2-d array ``p`` is a probability
     distribution, and return the rows with tiny negatives clamped to 0.
 
     ``what[r]`` names row r and ``keys[k]`` entry k of every row.  A
     weight that is not finite or is below -``ALGEBRA_TOL``, or a row whose
-    mass is off 1 by more than ``tol``, raises a NormalizationError naming
-    the first faulty row, and in it the first faulty entry.  Each row is
-    added from left to right, so a total is the one ``sum()`` gives.
+    mass is off 1 by more than ``PROB_TOL``, raises a NormalizationError
+    naming the first faulty row, and in it the first faulty entry.  Each
+    row is added from left to right, so a total is the one ``sum()``
+    gives.
     """
     low = p.min()
     clamped = p if low >= 0.0 else np.where(p < 0.0, 0.0, p)
     # a faulty row may overflow; it is reported below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         totals = np.add.accumulate(clamped, axis=1)[:, -1]
-    if low >= -ALGEBRA_TOL and np.abs(totals - 1.0).max() <= tol:
+    if low >= -ALGEBRA_TOL and np.abs(totals - 1.0).max() <= PROB_TOL:
         return clamped
     bad = ~np.isfinite(p) | (p < -ALGEBRA_TOL)
-    r = np.flatnonzero(bad.any(axis=1) | (np.abs(totals - 1.0) > tol))[0]
+    r = np.flatnonzero(bad.any(axis=1)
+                       | (np.abs(totals - 1.0) > PROB_TOL))[0]
     if bad[r].any():
         k = bad[r].argmax()
         weight = float(p[r, k])
@@ -214,10 +215,8 @@ def _of_checked(cls, unchecked, **fields):
     skips only the checks that input has passed; every other runs.
     """
     new = cls.__new__(cls)
-    state = vars(new)
-    if len(fields) < len(cls.__dataclass_fields__):
-        state.update(dict.fromkeys(cls.__dataclass_fields__))
-    state.update(fields, _unchecked=unchecked)
+    vars(new).update(dict.fromkeys(cls.__dataclass_fields__), **fields,
+                     _unchecked=unchecked)
     new.__post_init__()
     return new
 
@@ -268,11 +267,6 @@ class LinearMap:
     @property
     def cols(self) -> int:
         return self.array.shape[1]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Row-major flattened view of the matrix."""
-        return self.array.reshape(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):

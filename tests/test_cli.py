@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgamelab import cli, formats
+from qgamelab import cli, errors, formats
 from qgamelab.bayes import (
     BayesianGame,
     ClassicalAdvice,
@@ -22,11 +23,15 @@ from qgamelab.diagrams import ObservableStructure, evaluate, parse, pretty
 from qgamelab.errors import FormatError, GameLabError
 from qgamelab.ewl import (
     QuantumGameSpec,
+    StrategicFormGame,
     ewl_entangler,
     ewl_strategy_grid,
     payoff_table,
+    quantize,
 )
 from qgamelab.linalg import (
+    IDENTITY_1Q,
+    PAULI_X,
     StateVector,
     dimension_limit,
     set_dimension_limit,
@@ -540,11 +545,81 @@ def test_cli_accepts_flags_only_where_they_are_read(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _refusal(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ghz-dist", "--phases", "0,0", "--bogus"],
+     "qgamelab: unrecognized arguments: --bogus"),
+    (["ghz-dist", "--phases", "0,0", "--n", "x"],
+     "qgamelab ghz-dist: argument --n: invalid int value: 'x'"),
+    (["ghz-dist", "--n", "2"],
+     "qgamelab ghz-dist: the following arguments are required: --phases"),
+])
+def test_a_usage_error_in_json_mode_prints_one_error_object(argv, message,
+                                                            capsys):
+    code, out, plain_err = _refusal(capsys, argv)
+    assert (code, out) == (2, "")
+    assert _refusal(capsys, argv + ["--output", "table"]) == \
+        (2, "", plain_err)
+    for flag in (["--output", "json"], ["--output=json"]):
+        code, out, err = _refusal(capsys, argv + flag)
+        assert (code, err) == (2, plain_err)
+        doc = json.loads(out)   # one JSON value and nothing else
+        assert doc == {"error": {"type": "UsageError", "message": message}}
+        assert issubclass(getattr(errors, doc["error"]["type"]),
+                          GameLabError)
+
+
+def test_an_error_object_for_a_closed_stdout_gets_a_documented_error():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        for argv, code, first in (
+                (["ghz-dist", "--n", "3", "--phases", "0,0"], 1,
+                 "error: 2 phases for 3 parties\n"),
+                (["ghz-dist", "--n", "x", "--phases", "0,0"], 2, "usage: ")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qgamelab", *argv, "--output",
+                 "json"], stdout=write, stderr=subprocess.PIPE, text=True,
+                timeout=60)
+            assert proc.returncode == code
+            assert proc.stderr.startswith(first)
+            assert proc.stderr.endswith("\nerror: standard output closed "
+                                        "early: [Errno 32] Broken pipe\n")
+            assert "Traceback" not in proc.stderr
+    finally:
+        os.close(write)
+
+
 def _json_error(capsys, argv, status=1):
     code, out, err = _run(capsys, argv + ["--output", "json"])
     assert code == status
     assert err.startswith("error: ")
     return json.loads(out)["error"]
+
+
+def test_cli_diagram_ket_digit_out_of_range_is_a_json_error(capsys):
+    assert _json_error(capsys, ["diagram-eval", "ket(2)"]) == {
+        "type": "ShapeMismatchError",
+        "message": "ket digit 2 out of range for dimension 2"}
+
+
+def test_cli_ewl_nash_table_says_none_without_a_pure_equilibrium(
+        tmp_path, capsys):
+    pennies = StrategicFormGame((("H", "T"),) * 2, {
+        ("H", "H"): (1.0, -1.0), ("H", "T"): (-1.0, 1.0),
+        ("T", "H"): (-1.0, 1.0), ("T", "T"): (1.0, -1.0)})
+    spec = quantize(pennies, {"H": IDENTITY_1Q, "T": PAULI_X})
+    path = tmp_path / "pennies.json"
+    path.write_text(formats.dumps(spec), encoding="utf-8")
+    code, out, err = _run(capsys, ["ewl-nash", str(path)])
+    assert (code, err) == (0, "")
+    assert out == "pure Nash equilibria:\n  none\n"
 
 
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):

@@ -297,3 +297,26 @@ def test_states_phase_equal_matches_the_pivot_loop():
         assert got == _loop_states_phase_equal(a, b, tol), trial
         seen.add((kind, got))
     assert {(0, True), (1, False), (2, False), (3, True)} <= seen
+
+
+def _refused(error, message, call, *args):
+    with pytest.raises(error) as info:
+        call(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    return info.value
+
+
+def test_refusals_of_bad_values():
+    _refused(ValueError, "dimension limit must be positive, got 0",
+             set_dimension_limit, 0)
+    assert dimension_limit() == 4096
+    _refused(ShapeMismatchError, "3 amplitudes do not fill dims (2,)",
+             StateVector, np.ones(3), (2,))
+    zero = StateVector(np.zeros(2), (2,))
+    assert _refused(NormalizationError, "cannot normalize the zero vector",
+                    zero.normalized).total == 0.0
+    _refused(ShapeMismatchError, "expected a matrix, got ndim=3",
+             from_matrix, np.zeros((2, 2, 2)))
+    _refused(ValueError, "ket digit out of range for dimension 2: '2'",
+             ket, "2")
