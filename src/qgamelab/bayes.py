@@ -382,7 +382,7 @@ class QuantumAdvice(_Domain):
             raise ShapeMismatchError(
                 f"shared state has {len(self.shared_state.dims)} wires for "
                 f"{n} players")
-        if not self.shared_state.is_normalized(PROB_TOL):
+        if not self.shared_state.is_normalized():
             raise NormalizationError(
                 "shared state is not normalized",
                 total=self.shared_state.squared_norm)
@@ -608,10 +608,9 @@ class PolytopeVerdict:
 
 def payoff_polytope_check(game: BayesianGame,
                           inequality: Sequence[float],
-                          advices: Iterable,
-                          tol: float = EQUILIBRIUM_TOL) \
-        -> list[PolytopeVerdict]:
-    """Evaluate sum beta_i F_i <= beta_0 at each advice point.
+                          advices: Iterable) -> list[PolytopeVerdict]:
+    """Evaluate sum beta_i F_i <= beta_0, within ``EQUILIBRIUM_TOL``, at
+    each advice point.
 
     ``inequality`` is (beta_0, beta_1, ..., beta_N).
     """
@@ -620,25 +619,25 @@ def payoff_polytope_check(game: BayesianGame,
     for advice in advices:
         fs = average_payoff(game, advice)
         value = sum(b * f for b, f in zip(betas, fs))
-        out.append(PolytopeVerdict(fs, value, value <= beta0 + tol))
+        out.append(PolytopeVerdict(fs, value,
+                                   value <= beta0 + EQUILIBRIUM_TOL))
     return out
 
 
 def certify_payoff_inequality(game: BayesianGame,
-                              inequality: Sequence[float],
-                              limit: int = DEFAULT_ENUMERATION_LIMIT,
-                              tol: float = EQUILIBRIUM_TOL) \
+                              inequality: Sequence[float]) \
         -> tuple[bool, float]:
     """Decide whether every classical advice satisfies the inequality,
-    by maximizing sum beta_i F_i over deterministic responses.
+    within ``EQUILIBRIUM_TOL``, by maximizing sum beta_i F_i over the
+    deterministic responses, at most ``DEFAULT_ENUMERATION_LIMIT``.
 
     Returns (certified, classical maximum of the left-hand side).
     """
     beta0, betas = _split_inequality(game, inequality)
     expr = BellExpression._of_grid(
         game, game._mu * sum(b * p for b, p in zip(betas, game._pay)))
-    best = classical_bound(expr, limit)
-    return best <= beta0 + tol, best
+    best = classical_bound(expr)
+    return best <= beta0 + EQUILIBRIUM_TOL, best
 
 
 def _split_inequality(game: BayesianGame,
@@ -790,10 +789,10 @@ class EquilibriumReport:
 
 
 def is_advised_equilibrium(game: BayesianGame, advice,
-                           tol: float = EQUILIBRIUM_TOL,
                            limit: int = DEFAULT_ENUMERATION_LIMIT) \
         -> EquilibriumReport:
-    """Check that no player gains more than ``tol`` by post-processing.
+    """Check that no player gains more than ``EQUILIBRIUM_TOL`` by
+    post-processing.
 
     A deviation is any function from (own type, own recommendation) to
     own strategy; for quantum advice this rewrites the announced label,
@@ -803,7 +802,8 @@ def is_advised_equilibrium(game: BayesianGame, advice,
     one term per (type, recommendation) pair, so a player's best
     deviation plays the first argmax for every pair and gains that
     player's exact maximum.  The report keeps the first player whose
-    gain beats the running best (starting at 0) by more than ``tol``.
+    gain beats the running best (starting at 0) by more than
+    ``EQUILIBRIUM_TOL``.
     """
     cond = conditional_of(advice)
     game._check_same_domain(cond, "is_advised_equilibrium")
@@ -825,7 +825,7 @@ def is_advised_equilibrium(game: BayesianGame, advice,
         # g[x, r, t]: payoff at own type x, recommendation r, playing t
         g = np.einsum("xrm,xtm->xrt", p_i, a_i)
         gain = float(g.max(axis=2).sum()) - base[i]
-        if gain > best_gain + tol:
+        if gain > best_gain + EQUILIBRIUM_TOL:
             best_gain = gain
             best_player = i
             best_deviation = dict(zip(
@@ -841,14 +841,13 @@ def is_advised_equilibrium(game: BayesianGame, advice,
 
 
 def equivalence_of_conditionals(a: ConditionalDistribution,
-                                b: ConditionalDistribution,
-                                tol: float = EQUILIBRIUM_TOL) -> bool:
-    """True iff the two tables agree entrywise within ``tol``."""
+                                b: ConditionalDistribution) -> bool:
+    """True iff the two tables agree entrywise within ``EQUILIBRIUM_TOL``."""
     if a.types != b.types or a.strategies != b.strategies:
         raise ShapeMismatchError(
             f"conditionals have different shapes: {a.types} x "
             f"{a.strategies} vs {b.types} x {b.strategies}")
-    return bool(np.all(np.abs(a._p - b._p) <= tol))
+    return bool(np.all(np.abs(a._p - b._p) <= EQUILIBRIUM_TOL))
 
 
 BITS = ("0", "1")
@@ -863,8 +862,10 @@ def chsh_game() -> BayesianGame:
                                  (np.full(4, 0.25), np.array([win, win])))
 
 
-def chsh_expression(player: int = 0) -> BellExpression:
-    return BellExpression.from_payoff(chsh_game(), player)
+def chsh_expression() -> BellExpression:
+    """Player 0's payoff expression; the game is common-interest, so
+    every player's is the same."""
+    return BellExpression.from_payoff(chsh_game(), 0)
 
 
 CHSH_PHASES = ({"0": 0.0, "1": math.pi / 2},
@@ -893,8 +894,10 @@ def mermin_game() -> BayesianGame:
                                  (prior, np.array([pay] * 3)))
 
 
-def mermin_expression(player: int = 0) -> BellExpression:
-    return BellExpression.from_payoff(mermin_game(), player)
+def mermin_expression() -> BellExpression:
+    """Player 0's payoff expression; the game is common-interest, so
+    every player's is the same."""
+    return BellExpression.from_payoff(mermin_game(), 0)
 
 
 def mermin_quantum_advice() -> QuantumAdvice:

@@ -334,15 +334,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_requested(argv) -> bool:
-    """Whether ``argv`` asks for JSON output: its last ``--output json``
-    or ``--output=json``, read without argparse."""
-    mode = None
-    for before, arg in zip([None] + argv, argv):
-        if before == "--output":
-            mode = arg
-        elif arg.startswith("--output="):
-            mode = arg[len("--output="):]
-    return mode == "json"
+    """Whether ``argv`` asks for JSON output: the last value it gives
+    ``--output``, under any abbreviation argparse takes, as read by a
+    parser that knows no other option."""
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--output")
+    try:
+        return probe.parse_known_args(argv)[0].output == "json"
+    except argparse.ArgumentError:   # --output with no value
+        return False
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -152,13 +152,13 @@ def classical_points(obs: ObservableStructure) -> list[StateVector]:
     return list(obs.basis)
 
 
-def measure(obs: ObservableStructure, state: StateVector,
-            tol: float = PROB_TOL) -> dict[str, float]:
+def measure(obs: ObservableStructure, state: StateVector) \
+        -> dict[str, float]:
     """Projective per-wire measurement against the classical points.
 
     Returns P(k_1...k_n) = |<k_1...k_n|state>|^2 keyed by point-index
-    strings.  The state must be normalized and every wire must have the
-    observable's dimension.
+    strings.  The state must be normalized within ``PROB_TOL`` and every
+    wire must have the observable's dimension.
     """
     d = obs.dim
     if any(dim != d for dim in state.dims) or not state.dims:
@@ -167,7 +167,7 @@ def measure(obs: ObservableStructure, state: StateVector,
     change = obs.point_matrix().conj().T
     coeffs = apply_on_wires([change] * len(state.dims),
                             state.amplitudes.reshape(state.dims))
-    return born_probabilities(StateVector(coeffs, state.dims), tol)
+    return born_probabilities(StateVector(coeffs, state.dims))
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,12 @@ class BornVector:
                         self.weights))
 
 
-def validate_born_vector(weights, dim: int = 2,
-                         tol: float = PROB_TOL) -> BornVector:
+def validate_born_vector(weights, dim: int = 2) -> BornVector:
     """Check candidate weights form a distribution over point strings.
 
     Weights above -1e-12 are clamped to zero; anything more negative is
     rejected, as is a non-finite weight or a total mass off 1 by more
-    than ``tol``.  ``dim`` must be at least 1, and for ``dim`` 1 only a
+    than ``PROB_TOL``.  ``dim`` must be at least 1, and for ``dim`` 1 only a
     single weight is a power of it.
     """
     if dim < 1:
@@ -209,7 +208,7 @@ def validate_born_vector(weights, dim: int = 2,
             raise NormalizationError(f"weight {i} is negative: {w!r}", w)
         cleaned.append(max(w, 0.0))
     total = sum(cleaned)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_TOL:
         raise NormalizationError(
             f"weights must sum to 1, got {total!r}", total)
     n = len(cleaned)

@@ -221,12 +221,17 @@ class _Parser:
         return cls(*args)
 
     def parse_argument(self, kind: str) -> int | str:
-        text = self.tokens[self.pos].text
+        tok = self.tokens[self.pos]
         label, pattern, value = _ARGUMENTS[kind]
-        if not re.fullmatch(pattern, text):
+        if not re.fullmatch(pattern, tok.text):
             self.fail((label,))
         self.pos += 1
-        return value(text)
+        try:
+            return value(tok.text)
+        except ValueError:  # an int past Python's digit limit
+            raise DiagramSyntaxError(
+                f"{label} has {len(tok.text)} digits, more than Python "
+                "reads as an int", *_position(self.text, tok.offset)) from None
 
     def parse_phase(self) -> float:
         sign = -1.0 if self.accept("-") else 1.0

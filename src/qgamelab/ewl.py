@@ -47,7 +47,6 @@ from .errors import (
 )
 from .linalg import (
     BUILTIN_GATES,
-    PROB_TOL,
     LinearMap,
     StateVector,
     _of_checked,
@@ -200,7 +199,7 @@ class QuantumGameSpec:
                 raise ShapeMismatchError(
                     f"entangled state on {self.entangled_state.dims}, "
                     f"expected {wire_dims}")
-            if not self.entangled_state.is_normalized(PROB_TOL):
+            if not self.entangled_state.is_normalized():
                 raise NormalizationError(
                     "entangled state is not normalized",
                     total=self.entangled_state.squared_norm)
@@ -479,11 +478,12 @@ def _per_player(value, players: int, what: str) -> list[dict]:
     return per
 
 
-def _permutation_digit(gate: LinearMap, label: str, tol: float) -> int:
-    """For a 0/1 permutation matrix, the digit it sends |0> to."""
+def _permutation_digit(gate: LinearMap, label: str) -> int:
+    """For a 0/1 permutation matrix (entries within ``NASH_TOL``), the
+    digit it sends |0> to."""
     arr = gate.array
-    near_one = np.abs(arr - 1.0) <= tol
-    near_zero = np.abs(arr) <= tol
+    near_one = np.abs(arr - 1.0) <= NASH_TOL
+    near_zero = np.abs(arr) <= NASH_TOL
     if not np.all(near_one | near_zero) or \
             not np.all(near_one.sum(axis=0) == 1) or \
             not np.all(near_one.sum(axis=1) == 1):
@@ -495,16 +495,16 @@ def _permutation_digit(gate: LinearMap, label: str, tol: float) -> int:
 
 def quantize(classical: StrategicFormGame, embedding,
              entangler: LinearMap | None = None,
-             extra_strategies=None, dim: int = 2,
-             tol: float = NASH_TOL) -> QuantumGameSpec:
+             extra_strategies=None, dim: int = 2) -> QuantumGameSpec:
     """Embed a classical game into an EWL quantum game.
 
     ``embedding`` maps classical labels to basis-permutation unitaries,
     either one mapping shared by all players or one per player.  Payoff
     coefficients are induced through the permutations, so the quantum
     table restricted to the embedded labels reproduces the classical
-    table; this is checked and a failure (e.g. an entangler that does
-    not commute with the permutations) raises EmbeddingError.
+    table within ``NASH_TOL``; this is checked and a failure (e.g. an
+    entangler that does not commute with the permutations) raises
+    EmbeddingError.
 
     ``extra_strategies`` optionally adds named unitaries beyond the
     embedded ones, again shared or per player.
@@ -526,7 +526,7 @@ def quantize(classical: StrategicFormGame, embedding,
                 f"to key dimension-{dim} outcomes")
         seen: dict[int, str] = {}
         for lab in labels:
-            digit = _permutation_digit(emb[lab], lab, tol)
+            digit = _permutation_digit(emb[lab], lab)
             if digit in seen:
                 raise EmbeddingError(
                     f"player {i} labels {seen[digit]!r} and {lab!r} both "
@@ -564,7 +564,7 @@ def quantize(classical: StrategicFormGame, embedding,
 
     got = _payoff_array(spec, classical.strategy_labels).reshape(-1, n)
     want = classical._pay.reshape(-1, n)
-    off = np.flatnonzero((np.abs(got - want) > tol).any(axis=1))
+    off = np.flatnonzero((np.abs(got - want) > NASH_TOL).any(axis=1))
     if off.size:
         profile = classical.profiles()[off[0]]
         raise EmbeddingError(
@@ -612,9 +612,10 @@ def prisoners_dilemma() -> StrategicFormGame:
     return StrategicFormGame((("C", "D"), ("C", "D")), PD_PAYOFFS)
 
 
-def pd_quantum(strategy_names: Sequence[str] = ("I", "X", "H"),
-               entangler: LinearMap | None = None) -> QuantumGameSpec:
-    """The EWL Prisoners' Dilemma over named builtin gates.
+def pd_quantum(strategy_names: Sequence[str] = ("I", "X", "H")) \
+        -> QuantumGameSpec:
+    """The EWL Prisoners' Dilemma over named builtin gates, entangled by
+    ``ewl_entangler(2)``.
 
     ``strategy_names`` must include "I" and "X" (the embedded classical
     moves C and D); further names come from the builtin gate table.
@@ -637,5 +638,5 @@ def pd_quantum(strategy_names: Sequence[str] = ("I", "X", "H"),
         players=2,
         strategies=(gates, dict(gates)),
         payoff_coeffs=(coeffs_a, coeffs_b),
-        entangler=entangler if entangler is not None else ewl_entangler(2),
+        entangler=ewl_entangler(2),
     )

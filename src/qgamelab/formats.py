@@ -144,7 +144,7 @@ def _listed(raw, keys, fill=None) -> list | None:
     """The values of the JSON object ``raw`` at ``keys`` (distinct), or
     None unless ``raw`` has no other key and each key is found or ``fill``
     stands in for it; always None when ``keys`` is None."""
-    if type(raw) is not dict or keys is None or \
+    if not isinstance(raw, Mapping) or keys is None or \
             sum(map(raw.__contains__, keys)) != len(raw):
         return None
     values = list(map(raw.get, keys, itertools.repeat(fill)))
@@ -590,7 +590,7 @@ def game_from_json(doc: Mapping):
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int past the digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
     return game_from_json(doc)
 

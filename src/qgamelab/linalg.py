@@ -350,8 +350,9 @@ class StateVector:
         with np.errstate(over="ignore"):   # an overflow reads as inf
             return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def is_normalized(self, tol: float = PROB_TOL) -> bool:
-        return abs(self.squared_norm - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        """True iff the squared norm is within ``PROB_TOL`` of 1."""
+        return abs(self.squared_norm - 1.0) <= PROB_TOL
 
     def normalized(self) -> "StateVector":
         n = self.norm
