@@ -336,7 +336,8 @@ class _Parser(argparse.ArgumentParser):
 def _json_requested(argv) -> bool:
     """Whether ``argv`` asks for JSON output: the last value it gives
     ``--output``, under any abbreviation argparse takes, as read by a
-    parser that knows no other option."""
+    parser that knows no other option (so ``--o json`` counts even where
+    ``--observable`` makes ``--o`` ambiguous)."""
     probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     probe.add_argument("--output")
     try:
