@@ -17,22 +17,27 @@ derive from it.  Each constructor lays its label-keyed tables out with
 ``_grid`` (``linalg.table_grid``) as float arrays with axes (X_1..X_N,
 S_1..S_N) in label order, and checks every table of distributions in one
 ``linalg.distributions`` pass on that grid.  It keeps the grid
-privately: a game its prior, payoffs and coefficients mu(X) P_i(X, s)
+as its state: a game its prior, payoffs and coefficients mu(X) P_i(X, s)
 per player, classical advice rho and its response tables, quantum advice
 the stack of bras its orthonormality check builds, an expression its
-coefficients, a conditional its probabilities.  The public dicts are
-read back from the checked grids, and a key outside a table's domain is
-named by ``linalg.check_domain``, as in ``_grid``; a measurement basis
-must pass ``linalg.orthonormal``, all of a player's bases in one stacked
-product.  ``_Domain._of_grid`` is the one path from a grid: it builds a
-game, classical advice, a conditional or an expression from arrays on a
-checked domain, with every other check of the constructor run on the
-arrays themselves, through ``linalg._of_checked``, the one bypass of a
-constructor's checks.  The loader, ``chsh_game`` and ``mermin_game``
-build games through it, and the loader classical advice; each advice
-object reduces to its conditional once through it, a game's payoff
-becomes an expression through it, and no grid goes through a label-keyed
-dict on the way.  Payoffs, Bell values and every search read the stored
+coefficients, a conditional its probabilities.  The label-keyed public
+fields are views of those grids: the constructor drops each from
+``vars()`` with ``linalg._defer``, and ``linalg._view``, the domain's
+``__getattr__``, builds it the first time it is read (``grid_table``
+for the tables, a ``StateVector`` per basis vector for measurements).
+A Bell expression built from a table keeps that table as given.  A key
+outside a table's domain is named by ``linalg.check_domain``, as in
+``_grid``; a measurement basis must pass ``linalg.orthonormal``, all of
+a player's bases in one stacked product.  ``_Domain._of_grid`` is the
+one path from a grid: it builds a game, either kind of advice, a
+conditional or an expression from arrays on a checked domain, with
+every other check of the constructor run on the arrays themselves,
+through ``linalg._of_checked``, the one bypass of a constructor's
+checks.  The loader, ``chsh_game`` and ``mermin_game`` build games
+through it, and the loader both kinds of advice; each advice object
+reduces to its conditional once through it, a game's payoff becomes an
+expression through it, and no grid goes through a label-keyed dict on
+the way.  Payoffs, Bell values and every search read the stored
 arrays.
 """
 
@@ -52,9 +57,10 @@ from .errors import (
     NormalizationError,
     ShapeMismatchError,
 )
-from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, _of_checked,
-                     apply_on_wires, check_domain, check_wires, distributions,
-                     orthonormal, outcome_labels)
+from .linalg import (ALGEBRA_TOL, PROB_TOL, StateVector, _defer,
+                     _of_checked, _view, apply_on_wires, check_domain,
+                     check_wires, distributions, grid_table, orthonormal,
+                     outcome_labels)
 from .linalg import table_grid as _grid
 
 EQUILIBRIUM_TOL = 1e-9
@@ -107,6 +113,8 @@ class _Domain:
     types: tuple[Labels, ...]
     strategies: tuple[Labels, ...]
 
+    __getattr__ = _view
+
     def __post_init__(self):
         if "_unchecked" in vars(self):   # from _of_grid, on checked labels
             return
@@ -124,8 +132,10 @@ class _Domain:
         grid is ``grid``: the labels are not checked again, and every
         other check of the constructor runs on ``grid`` itself, with no
         label-keyed table in between.  A game's grid is the pair (prior,
-        payoffs), and classical advice's (rho, response grids); the
-        fields in ``given`` are set as given, and every other is None."""
+        payoffs), classical advice's (rho, response grids), and quantum
+        advice's every player's bases stacked as (X_i, d_i, d_i) in type
+        order; the fields in ``given`` are set as given, and every other
+        is None."""
         return _of_checked(cls, grid, types=domain.types,
                            strategies=domain.strategies, **given)
 
@@ -166,22 +176,18 @@ class BayesianGame(_Domain):
         n = self.players
         # set only by _of_grid: the prior, and the payoffs as (n, cells)
         mu, pay = vars(self).pop("_unchecked", (None, None))
-        joint_types = self.joint_types()
-        mu = _distribution(joint_types, self.prior, "prior", mu)
-        object.__setattr__(self, "prior", dict(zip(joint_types, mu.tolist())))
-
-        cells = self._cells()
+        mu = _distribution(self.joint_types(), self.prior, "prior", mu)
         if pay is None:
             if len(self.payoffs) != n:
                 raise DomainMismatchError(
                     f"{len(self.payoffs)} payoff tables for {n} players")
+            cells = self._cells()
             pay = np.array([_grid(cells, raw, f"player {i} payoff table")
                             for i, raw in enumerate(self.payoffs)])
         if not np.isfinite(pay).all():
             i = np.isfinite(pay).all(axis=1).argmin()
             raise DomainMismatchError(f"player {i} has a non-finite payoff")
-        object.__setattr__(self, "payoffs", tuple(
-            dict(zip(cells, row)) for row in pay.tolist()))
+        _defer(self, "prior", "payoffs")
         # the prior mu(X), the payoffs P_i(X, s) stacked on axis 0, and
         # player i's Bell coefficients mu(X) P_i(X, s)
         shape = self._shape()
@@ -189,6 +195,13 @@ class BayesianGame(_Domain):
         object.__setattr__(self, "_mu", mu)
         object.__setattr__(self, "_pay", pay.reshape((n,) + shape))
         object.__setattr__(self, "_alphas", mu * self._pay)
+
+    def _view_prior(self):
+        return grid_table(self.joint_types(), self._mu)
+
+    def _view_payoffs(self):
+        cells = self._cells()
+        return tuple(grid_table(cells, pay) for pay in self._pay)
 
     @classmethod
     def from_nature(cls, nature_states: Sequence[str],
@@ -235,10 +248,11 @@ class ConditionalDistribution(_Domain):
                       lambda jt: f"conditional is missing joint type {jt}")
         rows = distributions(p.reshape(len(names), -1), names,
                              joint_strategies)
-        object.__setattr__(self, "table", {
-            jt: dict(zip(joint_strategies, row))
-            for jt, row in zip(joint_types, rows.tolist())})
+        _defer(self, "table")
         object.__setattr__(self, "_p", rows.reshape(self._shape()))
+
+    def _view_table(self):
+        return grid_table(self.joint_types(), self._p, self.joint_strategies())
 
     def prob(self, joint_type: JointLabels,
              joint_strategy: JointLabels) -> float:
@@ -300,13 +314,12 @@ class ClassicalAdvice(_Domain):
                                       "distinct")
         rho = _distribution(list(lambdas), self.rho, "rho", rho)
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "rho", dict(zip(lambdas, rho.tolist())))
 
         if read is None and len(self.responses) != len(types):
             raise DomainMismatchError(
                 f"{len(self.responses)} response tables for {len(types)} "
                 f"players")
-        tables, grids = [], []
+        grids = []
         for i, s_i in enumerate(strategies):
             keys = list(itertools.product(types[i], lambdas))
             names = [f"p(s | {x}, {lam}) of player {i}" for x, lam in keys]
@@ -315,14 +328,19 @@ class ClassicalAdvice(_Domain):
                 lambda k: f"player {i} has no response row for type "
                           f"{k[0]!r}, lambda {k[1]!r}")
             rows = distributions(p, names, s_i)
-            tables.append({k: dict(zip(s_i, row))
-                           for k, row in zip(keys, rows.tolist())})
             grids.append(rows.reshape(len(types[i]), len(lambdas), -1))
-        object.__setattr__(self, "responses", tuple(tables))
+        _defer(self, "rho", "responses")
         # rho(lambda), and player i's p(s_i | X_i, lambda) with axes
         # (X_i, lambda, S_i)
         object.__setattr__(self, "_rho", rho)
         object.__setattr__(self, "_responses", tuple(grids))
+
+    def _view_rho(self):
+        return grid_table(self.lambdas, self._rho)
+
+    def _view_responses(self):
+        keys = (itertools.product(x_i, self.lambdas) for x_i in self.types)
+        return tuple(map(grid_table, keys, self._responses, self.strategies))
 
     @classmethod
     def deterministic(cls, types, strategies,
@@ -378,6 +396,9 @@ class QuantumAdvice(_Domain):
     def __post_init__(self):
         super().__post_init__()
         types, strategies, n = self.types, self.strategies, self.players
+        # set only by _of_grid: per player, the bases of every type
+        # stacked as (X_i, d_i, d_i) in type order
+        stacks = vars(self).pop("_unchecked", None)
         if len(self.shared_state.dims) != n:
             raise ShapeMismatchError(
                 f"shared state has {len(self.shared_state.dims)} wires for "
@@ -386,25 +407,30 @@ class QuantumAdvice(_Domain):
             raise NormalizationError(
                 "shared state is not normalized",
                 total=self.shared_state.squared_norm)
-        if len(self.measurements) != n:
+        if stacks is None and len(self.measurements) != n:
             raise DomainMismatchError(
                 f"{len(self.measurements)} measurement maps for {n} "
                 f"players")
-        cleaned, bras = [], []
-        for i, per in enumerate(self.measurements):
+        bras = []
+        for i, d in enumerate(self.shared_state.dims):
+            # from a grid, every type has a basis of the right shape
+            per = types[i] if stacks is not None else self.measurements[i]
             check_domain(per, types[i], f"player {i} measurement table")
-            d = self.shared_state.dims[i]
             if len(strategies[i]) != d:
                 raise DomainMismatchError(
                     f"player {i} has {len(strategies[i])} strategies but "
                     f"a dimension-{d} wire")
-            # every basis in one stacked Gram product, a missing or
-            # misshapen one standing in as the identity until its turn
-            bases = [tuple(per.get(x, ())) for x in types[i]]
-            shaped = [len(b) == d and all(v.dims == (d,) for v in b)
-                      for b in bases]
-            stack = np.array([[v.amplitudes for v in b] if ok else np.eye(d)
-                              for b, ok in zip(bases, shaped)])
+            if stacks is not None:
+                stack, shaped = stacks[i], [True] * len(per)
+            else:
+                # every basis in one stacked Gram product, a missing or
+                # misshapen one standing in as the identity until its turn
+                bases = [tuple(per.get(x, ())) for x in types[i]]
+                shaped = [len(b) == d and all(v.dims == (d,) for v in b)
+                          for b in bases]
+                stack = np.array([[v.amplitudes for v in b] if ok
+                                  else np.eye(d)
+                                  for b, ok in zip(bases, shaped)])
             verdicts = orthonormal(stack.transpose(0, 2, 1), ALGEBRA_TOL)
             for x, ok, unitary in zip(types[i], shaped, verdicts):
                 if x not in per:
@@ -417,11 +443,15 @@ class QuantumAdvice(_Domain):
                 if not unitary:
                     raise NormalizationError(
                         f"player {i} type {x!r}: basis is not orthonormal")
-            cleaned.append(dict(zip(types[i], bases)))
             bras.append(stack.transpose(1, 2, 0).conj())
-        object.__setattr__(self, "measurements", tuple(cleaned))
+        _defer(self, "measurements")
         # player i's bras <b_{X_i S_i}|, stacked as (S_i, d_i, X_i)
         object.__setattr__(self, "_bras", tuple(bras))
+
+    def _view_measurements(self):
+        return tuple({x: tuple(StateVector(v, v.shape) for v in basis.conj())
+                      for x, basis in zip(x_i, bras.transpose(2, 0, 1))}
+                     for x_i, bras in zip(self.types, self._bras))
 
     @classmethod
     def from_phases(cls, types, strategies, shared_state: StateVector,
@@ -484,14 +514,17 @@ class BellExpression(_Domain):
             coeffs = {_bell_key(k): float(v)
                       for k, v in self.coefficients.items()}
             alpha = _grid(self._cells(), coeffs, "Bell expression", 0.0)
+            object.__setattr__(self, "coefficients", coeffs)
         else:
-            coeffs = dict(zip(self._cells(), alpha.ravel().tolist()))
+            _defer(self, "coefficients")
         if not np.isfinite(alpha).all():
             raise DomainMismatchError("a coefficient is not finite")
-        object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "_alpha", alpha.reshape(self._shape()))
         if self.bound is not None:
             object.__setattr__(self, "bound", float(self.bound))
+
+    def _view_coefficients(self):
+        return grid_table(self._cells(), self._alpha)
 
     def coefficient(self, joint_type: JointLabels,
                     joint_strategy: JointLabels) -> float:

@@ -9,15 +9,16 @@ permutations recovers an ordinary strategic-form game.
 Payoff tables are dense float arrays indexed (k_0, ..., k_{N-1}, player)
 by label position: one contraction runs the shared state through each
 player's stack of gates, and ``linalg.born_weights`` turns each block of
-final states into checked Born weights.  ``StrategicFormGame`` builds that array once, in
-its constructor, and Nash and Pareto scans and ``quantize`` read it; the
-scans read a spec's array as it comes out of the contraction.
-``to_strategic_form`` hands that array to the game through
-``linalg._of_checked``, the one bypass of a constructor's checks, so a
-spec's table never becomes a label-keyed dict that is parsed back, and
-``payoff_table`` is that game's payoffs.  Label strings appear only
-where a table becomes a dict in product order of the label lists, which
-is also the order ``StrategicFormGame`` keeps.
+final states into checked Born weights.  ``StrategicFormGame`` builds
+that array once, in its constructor, and keeps it as its state; Nash
+and Pareto scans and ``quantize`` read it.  ``to_strategic_form`` hands
+a spec's array to the game through ``linalg._of_checked``, the one
+bypass of a constructor's checks, so a spec's table never becomes a
+label-keyed dict that is parsed back, and ``payoff_table`` is that
+game's payoffs.  Label strings appear only where a table becomes a dict
+in product order of the label lists, which is also the order
+``StrategicFormGame`` keeps: its ``payoffs`` field is a view of the
+array, built when first read (``linalg._view``).
 
 ``pareto_optimal`` picks its exact dominance test by the player count it
 reads from the table: two players take a sort and sweep in O(n log n)
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +50,9 @@ from .linalg import (
     BUILTIN_GATES,
     LinearMap,
     StateVector,
+    _defer,
     _of_checked,
+    _view,
     apply_on_wires,
     ascii_digits,
     born_weights,
@@ -74,11 +77,12 @@ class StrategicFormGame:
     strategy_labels: tuple[tuple[str, ...], ...]
     payoffs: Mapping[Profile, tuple[float, ...]]
 
+    __getattr__ = _view
+
     def __post_init__(self):
         labels = tuple(tuple(per) for per in self.strategy_labels)
         object.__setattr__(self, "strategy_labels", labels)
         n = len(labels)
-        profiles = list(itertools.product(*labels))
         # set only by to_strategic_form: a spec's payoff array, on labels
         # the spec has checked
         pay = vars(self).pop("_unchecked", None)
@@ -91,6 +95,7 @@ class StrategicFormGame:
                     raise DomainMismatchError(
                         f"player {i} has duplicate strategy labels: {per}")
             # the keys are checked on the row widths, which must all be n
+            profiles = self.profiles()
             widths = table_grid(profiles, dict(zip(self.payoffs, map(
                 len, self.payoffs.values()))), "payoff table")
             off = np.flatnonzero(widths != n)
@@ -101,11 +106,14 @@ class StrategicFormGame:
             pay = np.fromiter(map(float, itertools.chain.from_iterable(map(
                 self.payoffs.__getitem__, profiles))), float,
                 len(profiles) * n)
-        object.__setattr__(self, "payoffs", dict(zip(
-            profiles, map(tuple, pay.reshape(-1, n).tolist()))))
+        _defer(self, "payoffs")
         # the payoffs as (k_0..k_{N-1}, player), in product order
         object.__setattr__(self, "_pay", pay.reshape(
             tuple(map(len, labels)) + (n,)))
+
+    def _view_payoffs(self):
+        return dict(zip(self.profiles(), map(
+            tuple, self._pay.reshape(-1, self.players).tolist())))
 
     @property
     def players(self) -> int:
@@ -338,15 +346,12 @@ def _as_game(game) -> StrategicFormGame:
 def _scanned(game) -> tuple[list[Profile], np.ndarray]:
     """Profiles in product order, and payoffs as (k_0..k_{N-1}, player).
 
-    A spec's payoffs come straight from ``_payoff_array``, with no
-    label-keyed table in between: the spec's own checks already
-    guarantee everything ``StrategicFormGame`` would check.
+    A spec goes through ``to_strategic_form``, whose payoff dict is not
+    built unless read.
     """
-    if isinstance(game, QuantumGameSpec):
-        labels = game.strategy_labels
-        return list(itertools.product(*labels)), _payoff_array(game, labels)
-    g = _as_game(game)
-    return list(g.payoffs), g._pay
+    g = to_strategic_form(game) if isinstance(game, QuantumGameSpec) \
+        else _as_game(game)
+    return g.profiles(), g._pay
 
 
 def _labels_from_table(table: Mapping[Profile, Sequence[float]]) \

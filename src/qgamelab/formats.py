@@ -12,12 +12,14 @@ between.  A Bayes spec's prior and payoffs and a classical advice's rho
 and responses are looked up at the key strings their label lists give
 (labels hold no "," or "|", so the keys name the cells one to one); a
 player's EWL gate matrices are one float array, and each amplitude list
-another, viewed as complex, so a -0.0 part stays -0.0.  Only when that
-read fails is the table walked entry by entry in document order, which
-names its first fault as before: a bad value or key is raised where it
-stands, and a fault of the domain is left for the constructor to name.
-On a Bayes table the walk always raises.  An amplitude written as a bare
-real, a "phase" basis or a builtin gate name is read entry by entry too.
+another, viewed as complex, so a -0.0 part stays -0.0; a player's
+{"basis": ...} measurements are one (X_i, d, d) array in type order,
+handed to ``QuantumAdvice`` as a grid.  Only when that read fails is the
+table walked entry by entry in document order, which names its first
+fault as before: a bad value or key is raised where it stands, and a
+fault of the domain is left for the constructor to name.  On a Bayes
+table the walk always raises.  An amplitude written as a bare real, a
+"phase" basis or a builtin gate name is read entry by entry too.
 
 Loading is strict: unknown keys, wrong arities, or malformed numbers
 raise FormatError naming the offending location, and a table entry
@@ -37,8 +39,8 @@ import itertools
 import json
 import math
 import re
+from collections.abc import Mapping
 from importlib import resources
-from typing import Mapping
 
 import numpy as np
 
@@ -507,6 +509,10 @@ def _quantum_advice_from_json(doc: Mapping,
     raw_meas = _require(doc, "measurements", "advice")
     if not isinstance(raw_meas, list) or len(raw_meas) != n:
         raise FormatError(f"advice.measurements: expected {n} objects")
+    stacks = tuple(map(_bases, raw_meas, game.types, dims))
+    if not any(stack is None for stack in stacks):
+        return _built("advice", QuantumAdvice._of_grid, game, stacks,
+                      shared_state=state)
     measurements = []
     for i, per in enumerate(raw_meas):
         if not isinstance(per, Mapping):
@@ -537,6 +543,17 @@ def _quantum_advice_from_json(doc: Mapping,
         measurements.append(table)
     return _built("advice", QuantumAdvice, game.types, game.strategies,
                   state, tuple(measurements))
+
+
+def _bases(raw, types, d: int) -> np.ndarray | None:
+    """A player's measurement bases read as one (X_i, d, d) array in the
+    order of ``types``, or None unless ``raw`` maps each type, and no
+    other key, to a {"basis": ...} of d vectors of d [re, im] pairs."""
+    entries = _listed(raw, types)
+    if entries is None or not all(
+            type(e) is dict and e.keys() == {"basis"} for e in entries):
+        return None
+    return _complex_array([e["basis"] for e in entries], (len(types), d, d))
 
 
 def advice_to_json(advice) -> dict:
@@ -590,7 +607,8 @@ def game_from_json(doc: Mapping):
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # malformed, or an int past the digit limit
+    # malformed, an int past the digit limit, or nested past the stack
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
     return game_from_json(doc)
 

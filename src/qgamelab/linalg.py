@@ -27,7 +27,8 @@ It is also the one place that decides how a label-keyed table becomes an
 array and what makes its rows distributions:
 
 - ``table_grid`` lays a table out in the order of its domain's keys and
-  rejects a key outside that domain, or a missing one with no fill.
+  rejects a key outside that domain, or a missing one with no fill;
+  ``grid_table`` reads such a grid back as the table.
 - ``distributions`` checks every row of such a grid in one pass: finite,
   no weight below -``ALGEBRA_TOL`` (smaller negatives are clamped to 0),
   and unit mass within a tolerance.
@@ -36,7 +37,10 @@ array and what makes its rows distributions:
 library: it builds a frozen dataclass around input that has already
 passed some of them, and the constructor runs every other.
 ``LinearMap._of_finite`` and ``bayes._Domain._of_grid`` go through it,
-and so does ``ewl.to_strategic_form``.
+and so does ``ewl.to_strategic_form``.  ``_defer`` and ``_view`` are the
+one way a class keeps its checked arrays as its state and a label-keyed
+field as a view of them: the constructor drops the field from
+``vars()``, and the class's ``__getattr__`` builds it when first read.
 
 And it writes each remaining validation rule once:
 
@@ -159,6 +163,16 @@ def table_grid(keys, table, what: str, fill=None) -> np.ndarray:
     return np.fromiter(map(float, values), float, len(values))
 
 
+def grid_table(keys, grid: np.ndarray, cols=None) -> dict:
+    """The values of ``grid`` in C order, as Python floats, keyed by
+    ``keys`` in order; with ``cols``, each run of ``len(cols)`` values
+    as a dict keyed by ``cols``."""
+    if cols is None:
+        return dict(zip(keys, grid.ravel().tolist()))
+    rows = grid.reshape(-1, len(cols)).tolist()
+    return {k: dict(zip(cols, row)) for k, row in zip(keys, rows)}
+
+
 def check_domain(table, keys, what: str) -> None:
     """Raise a DomainMismatchError naming up to four keys of ``table``
     that are not among ``keys``: the least four, or the first four by
@@ -219,6 +233,24 @@ def _of_checked(cls, unchecked, **fields):
                      _unchecked=unchecked)
     new.__post_init__()
     return new
+
+
+def _defer(obj, *names) -> None:
+    """Drop the fields ``names`` from ``vars(obj)`` once its constructor
+    has checked them: each becomes a view that ``_view`` builds."""
+    for name in names:
+        del vars(obj)[name]
+
+
+def _view(obj, name: str):
+    """The ``__getattr__`` of a class with deferred fields: the field
+    ``name``, built by the class's ``_view_<name>`` from the checked
+    arrays the first time it is read, then kept in ``vars(obj)``."""
+    build = getattr(type(obj), "_view_" + name, None)
+    if build is None:
+        raise AttributeError(
+            f"{type(obj).__name__!r} object has no attribute {name!r}")
+    return vars(obj).setdefault(name, build(obj))
 
 
 @dataclass(frozen=True)

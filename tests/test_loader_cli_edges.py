@@ -67,6 +67,17 @@ def test_a_json_int_past_the_digit_limit_is_a_format_error(tmp_path,
     assert error["message"].startswith("invalid JSON: ")
 
 
+def test_json_nested_past_the_stack_is_a_format_error(tmp_path, capsys):
+    text = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(FormatError, match="^invalid JSON: "):
+        formats.loads(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    error = _json_error(capsys, ["ewl-table", str(path)])
+    assert error["type"] == "FormatError"
+    assert error["message"].startswith("invalid JSON: ")
+
+
 # ------------------------------------------------ tables in any Mapping
 
 def _wrapped(doc, wrap):
