@@ -252,7 +252,9 @@ class ConditionalDistribution(_Domain):
         object.__setattr__(self, "_p", rows.reshape(self._shape()))
 
     def _view_table(self):
-        return grid_table(self.joint_types(), self._p, self.joint_strategies())
+        joint_strategies = self.joint_strategies()
+        return {jt: grid_table(joint_strategies, row) for jt, row in zip(
+            self.joint_types(), self._p.reshape(-1, len(joint_strategies)))}
 
     def prob(self, joint_type: JointLabels,
              joint_strategy: JointLabels) -> float:
@@ -339,8 +341,10 @@ class ClassicalAdvice(_Domain):
         return grid_table(self.lambdas, self._rho)
 
     def _view_responses(self):
-        keys = (itertools.product(x_i, self.lambdas) for x_i in self.types)
-        return tuple(map(grid_table, keys, self._responses, self.strategies))
+        return tuple({k: grid_table(s_i, row) for k, row in zip(
+            itertools.product(x_i, self.lambdas), grid.reshape(-1, len(s_i)))}
+            for x_i, s_i, grid in zip(self.types, self.strategies,
+                                      self._responses))
 
     @classmethod
     def deterministic(cls, types, strategies,

@@ -163,14 +163,10 @@ def table_grid(keys, table, what: str, fill=None) -> np.ndarray:
     return np.fromiter(map(float, values), float, len(values))
 
 
-def grid_table(keys, grid: np.ndarray, cols=None) -> dict:
+def grid_table(keys, grid: np.ndarray) -> dict:
     """The values of ``grid`` in C order, as Python floats, keyed by
-    ``keys`` in order; with ``cols``, each run of ``len(cols)`` values
-    as a dict keyed by ``cols``."""
-    if cols is None:
-        return dict(zip(keys, grid.ravel().tolist()))
-    rows = grid.reshape(-1, len(cols)).tolist()
-    return {k: dict(zip(cols, row)) for k, row in zip(keys, rows)}
+    ``keys`` in order."""
+    return dict(zip(keys, grid.ravel().tolist()))
 
 
 def check_domain(table, keys, what: str) -> None:
