@@ -857,7 +857,9 @@ def is_advised_equilibrium(game: BayesianGame, advice,
     best_player = None
     best_deviation = None
     for i, alpha in enumerate(game._alphas):
-        p_i, a_i = (np.moveaxis(a, (i, n + i), (0, 1)).reshape(
+        # own type and strategy first, the other axes in order
+        axes = [i, n + i, *(k for k in range(2 * n) if k not in (i, n + i))]
+        p_i, a_i = (a.transpose(axes).reshape(
             a.shape[i], a.shape[n + i], -1) for a in (cond._p, alpha))
         # g[x, r, t]: payoff at own type x, recommendation r, playing t
         g = np.einsum("xrm,xtm->xrt", p_i, a_i)

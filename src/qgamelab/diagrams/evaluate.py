@@ -33,6 +33,7 @@ from .terms import (
     Seq,
     Spider,
     Swap,
+    _too_deep,
     typecheck,
 )
 
@@ -98,7 +99,8 @@ def evaluate(term: DiagramTerm, obs: ObservableStructure,
     """Evaluate a typechecked term to its linear map.
 
     ``boxes`` binds box names to maps whose wires must all carry the
-    observable's dimension.
+    observable's dimension.  A term nested past the recursion limit is a
+    NestingDepthError.
     """
     typecheck(term, boxes)
     if boxes:
@@ -108,7 +110,10 @@ def evaluate(term: DiagramTerm, obs: ObservableStructure,
                 raise ShapeMismatchError(
                     f"box {name!r} has wire dims {bound.in_dims} -> "
                     f"{bound.out_dims}; every wire must have dimension {d}")
-    return _Evaluation(obs, boxes).map(term)
+    try:
+        return _Evaluation(obs, boxes).map(term)
+    except RecursionError:
+        raise _too_deep("evaluate") from None
 
 
 class _Evaluation:

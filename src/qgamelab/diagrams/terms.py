@@ -9,10 +9,11 @@ by the observable the term is evaluated against.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from ..errors import UnboundBoxError, WireCountError
+from ..errors import NestingDepthError, UnboundBoxError, WireCountError
 from ..linalg import ascii_digits
 from .observables import PhaseElement
 
@@ -133,9 +134,24 @@ def typecheck(term: DiagramTerm,
     """Wire counts (inputs, outputs) of a term, bottom-up.
 
     ``boxes`` maps box names to (in_wires, out_wires) pairs or to bound
-    LinearMaps.  Raises WireCountError on a Seq stage mismatch and
-    UnboundBoxError for unknown boxes.
+    LinearMaps.  Raises WireCountError on a Seq stage mismatch,
+    UnboundBoxError for unknown boxes, and NestingDepthError for a term
+    nested past the recursion limit.
     """
+    try:
+        return _wire_counts(term, boxes)
+    except RecursionError:
+        raise _too_deep("typecheck") from None
+
+
+def _too_deep(what: str) -> NestingDepthError:
+    return NestingDepthError(
+        f"{what}: diagram term nests too deeply for the recursion limit "
+        f"({sys.getrecursionlimit()})")
+
+
+def _wire_counts(term: DiagramTerm,
+                 boxes: BoxSignatures | None) -> tuple[int, int]:
     if isinstance(term, Id):
         return term.wires, term.wires
     if isinstance(term, Spider):
@@ -151,9 +167,9 @@ def typecheck(term: DiagramTerm,
     if isinstance(term, Ket):
         return 0, len(term.digits)
     if isinstance(term, Seq):
-        ins, current = typecheck(term.stages[0], boxes)
+        ins, current = _wire_counts(term.stages[0], boxes)
         for i, stage in enumerate(term.stages[1:], start=1):
-            sin, sout = typecheck(stage, boxes)
+            sin, sout = _wire_counts(stage, boxes)
             if sin != current:
                 raise WireCountError(
                     f"stage {i} consumes {sin} wires but stage {i - 1} "
@@ -164,7 +180,7 @@ def typecheck(term: DiagramTerm,
     if isinstance(term, Par):
         ins = outs = 0
         for factor in term.factors:
-            fin, fout = typecheck(factor, boxes)
+            fin, fout = _wire_counts(factor, boxes)
             ins += fin
             outs += fout
         return ins, outs

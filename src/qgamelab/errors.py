@@ -54,6 +54,11 @@ class WireCountError(GameLabError):
         self.consumed = consumed
 
 
+class NestingDepthError(GameLabError):
+    """A diagram term nests deeper than the interpreter's recursion limit
+    lets the library walk it."""
+
+
 class UnboundBoxError(GameLabError):
     """A diagram references a box name with no binding in scope."""
 

@@ -8,7 +8,7 @@ permutations recovers an ordinary strategic-form game.
 
 Payoff tables are dense float arrays indexed (k_0, ..., k_{N-1}, player)
 by label position: one contraction runs the shared state through each
-player's stack of gates, and ``linalg.born_weights`` turns each block of
+player's stack of gates, and ``linalg.born_weights`` turns each chunk of
 final states into checked Born weights.  ``StrategicFormGame`` builds
 that array once, in its constructor, and keeps it as its state; Nash
 and Pareto scans and ``quantize`` read it.  ``to_strategic_form`` hands
@@ -267,14 +267,22 @@ def _profile_maps(spec: QuantumGameSpec,
     return [spec.strategy(i, lab) for i, lab in enumerate(labels)]
 
 
-def _final_states(spec: QuantumGameSpec, stacks):
-    """sigma for every profile of the gate stacks, one block per k_0.
+# About this many bytes of final states per chunk of player 0's gates.
+_CHUNK_BYTES = 1 << 15
+
+
+def _final_chunks(spec: QuantumGameSpec, stacks):
+    """sigma for every profile of the gate stacks, in chunks of player 0's
+    gates.
 
     ``stacks[i]`` holds player i's k_i gates, shape (k_i, d, d).  The
     shared state runs through the stacks of players 1..N-1 once; then
-    each gate of player 0 gives one block, after the entangler's adjoint,
-    whose rows are the k_1 * ... * k_{N-1} final states in product order.
-    No block grows with k_0.
+    each chunk of player 0's gates, after the entangler's adjoint, is one
+    (g, k_1 * ... * k_{N-1}, d^N) array whose rows are the final states
+    in product order.  A chunk holds about ``_CHUNK_BYTES`` of final
+    states (one gate at least), so no chunk grows with k_0.  Every
+    product is a stacked matmul whose matrices have the shapes of the
+    one-gate case, so each profile's state is the same bit for bit.
     """
     d, n = spec.dim, spec.players
     shared = spec.shared_state().amplitudes.reshape((d,) * n)
@@ -282,12 +290,22 @@ def _final_states(spec: QuantumGameSpec, stacks):
     # (w_0, w_1, k_1, ..., w_{N-1}, k_{N-1}).
     rest = apply_on_wires([stack.transpose(1, 2, 0) for stack in stacks[1:]],
                           np.moveaxis(shared, 0, -1))
-    order = [*range(2, 2 * n - 1, 2), 0, *range(1, 2 * n - 2, 2)]
+    # behind the chunk's gate axis: (k_1, ..., k_{N-1}, w_0, ..., w_{N-1})
+    order = [0, *range(3, 2 * n, 2), 1, *range(2, 2 * n - 1, 2)]
     flat = rest.reshape(d, -1)
     unentangle = spec.entangler.array.conj()  # sigma^T = v^T (U^dag)^T
-    for gate in stacks[0]:
-        moved = (gate @ flat).reshape(rest.shape).transpose(order)
-        yield moved.reshape(-1, d ** n) @ unentangle
+    step = max(1, _CHUNK_BYTES // rest.nbytes)
+    for start in range(0, len(stacks[0]), step):
+        gates = stacks[0][start:start + step]
+        moved = (gates @ flat).reshape(-1, *rest.shape).transpose(order)
+        yield moved.reshape(len(gates), -1, d ** n) @ unentangle
+
+
+def _final_states(spec: QuantumGameSpec, stacks):
+    """sigma for every profile, one (k_1 * ... * k_{N-1}, d^N) block per
+    gate of player 0, read off the chunks of ``_final_chunks``."""
+    for chunk in _final_chunks(spec, stacks):
+        yield from chunk
 
 
 def _payoff_array(spec: QuantumGameSpec, labels) -> np.ndarray:
@@ -296,8 +314,10 @@ def _payoff_array(spec: QuantumGameSpec, labels) -> np.ndarray:
               for i, per in enumerate(labels)]
     out = np.empty((len(stacks[0]), math.prod(map(len, stacks[1:])),
                     spec.players))
-    for block, finals in zip(out, _final_states(spec, stacks)):
-        block[:] = born_weights(finals) @ spec._coeffs.T
+    done = 0
+    for chunk in _final_chunks(spec, stacks):
+        out[done:done + len(chunk)] = born_weights(chunk) @ spec._coeffs.T
+        done += len(chunk)
     return out.reshape(tuple(map(len, stacks)) + (spec.players,))
 
 
