@@ -5,6 +5,7 @@ from .evaluate import (
     frobenius_generators,
     ghz_state_map,
     ket_map,
+    normal_form,
     spider_map,
     swap_map,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "ghz_state_map",
     "ket_map",
     "measure",
+    "normal_form",
     "parse",
     "pretty",
     "spider_map",

@@ -4,10 +4,19 @@ Everything is interpreted against a single observable structure: wires
 carry its dimension, spiders sum over its classical points, kets pick
 them out.  Evaluation is unnormalized; the GHZ spider gives
 |0..0> + |1..1> with no 1/sqrt(2), and scalars are carried exactly.
+
+Only connectivity matters (the spider theorem: Coecke & Duncan, NJP 13,
+043016 (2011); Coecke & Kissinger, Picturing Quantum Processes, CUP
+2017), so a box-free term is evaluated through its ``normal_form``: a
+connected network of spiders, cups, caps and kets is one spider.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -15,11 +24,10 @@ import numpy as np
 from ..errors import ShapeMismatchError
 from ..linalg import (
     LinearMap,
-    apply_on_span,
+    _placed,
     check_dims,
     check_wires,
-    identity,
-    swap_on_span,
+    compose,
     tensor_in_place,
 )
 from .observables import ObservableStructure, PhaseElement
@@ -47,14 +55,8 @@ def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
     input side.
     """
     d = obs.dim
-    if phase is None:
-        weights = np.ones(d, dtype=complex)
-    else:
-        if phase.dim != d:
-            raise ShapeMismatchError(
-                f"phase over {phase.dim} points used with a dimension-{d} "
-                f"observable")
-        weights = phase.weights()
+    weights = np.ones(d, dtype=complex) if phase is None \
+        else _weights(phase, d)
     in_dims = check_wires(d, inputs, "spider input dims")
     out_dims = check_wires(d, outputs, "spider output dims")
     points = obs.point_matrix()
@@ -62,6 +64,15 @@ def spider_map(obs: ObservableStructure, inputs: int, outputs: int,
         @ _on_every_leg(points.conj(), inputs).T
     # finite: orthonormal points times unit weights
     return LinearMap._of_finite(arr, in_dims, out_dims)
+
+
+def _weights(phase: PhaseElement, d: int) -> np.ndarray:
+    """The weights of ``phase``, which must be over the d points."""
+    if phase.dim != d:
+        raise ShapeMismatchError(
+            f"phase over {phase.dim} points used with a dimension-{d} "
+            f"observable")
+    return phase.weights()
 
 
 def _on_every_leg(points: np.ndarray, legs: int) -> np.ndarray:
@@ -77,21 +88,176 @@ def _on_every_leg(points: np.ndarray, legs: int) -> np.ndarray:
 def swap_map(dim: int) -> LinearMap:
     """The identity on two wires with its output legs exchanged."""
     dims = check_dims((dim, dim), "swap dims")
-    arr = swap_on_span(np.eye(dim * dim, dtype=complex), (), dim)
-    return LinearMap(arr, dims, dims)
+    return LinearMap._of_finite(_placed(dims, dims, [(None, (0, 1), (1, 0))]),
+                                dims, dims)
 
 
 def ket_map(obs: ObservableStructure, digits: str) -> LinearMap:
     d = obs.dim
+    ks = _ket_digits(digits, d)
+    out_dims = check_wires(d, len(ks), "ket dims")
+    points = obs.point_matrix()
+    col = tensor_in_place([points[:, [k]] for k in ks])
+    # finite: tensor_in_place checks every entry it writes
+    return LinearMap._of_finite(col, (), out_dims)
+
+
+def _ket_digits(digits: str, d: int) -> list[int]:
+    """A ket's digits as ints, each of which must be below d."""
     for c in digits:
         if int(c) >= d:
             raise ShapeMismatchError(
                 f"ket digit {c} out of range for dimension {d}")
-    out_dims = check_wires(d, len(digits), "ket dims")
-    points = obs.point_matrix()
-    col = tensor_in_place([points[:, [int(c)]] for c in digits])
-    # finite: tensor_in_place checks every entry it writes
-    return LinearMap._of_finite(col, (), out_dims)
+    return [int(c) for c in digits]
+
+
+@dataclass(frozen=True, eq=False)
+class Component:
+    """A connected network of nodes, fused into one spider: the map
+    sum_k weights[k] |k..k><k..k| from the term's input wires ``inputs``
+    to its output wires ``outputs``, both ascending, with k running over
+    the observable's points."""
+
+    weights: np.ndarray
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class NormalForm:
+    """A box-free term as the spider theorem leaves it: its components
+    with boundary legs, its bare wires as (input, output) pairs in output
+    order, and the product of its closed components' scalars."""
+
+    in_wires: int
+    out_wires: int
+    components: tuple[Component, ...]
+    wires: tuple[tuple[int, int], ...]
+    scalar: complex
+
+
+def normal_form(term: DiagramTerm, obs: ObservableStructure) -> NormalForm:
+    """The spider normal form of a box-free term.
+
+    Every node is a spider over the observable's points: a spider's
+    weights are its phase's, a cup's and a cap's are all 1, and each
+    digit k of a ket is a 0 -> 1 spider with weights e_k.  A component's
+    weights are the entrywise product of its nodes', its inner loops
+    vanish, and a closed component is the scalar sum_k w_k; ``id`` and
+    ``swap`` are wiring alone.  Each atom's legs are checked against the
+    dimension cap, and nothing of d^wires entries is built.  A ``Box``
+    has no normal form: typecheck refuses it as unbound.  A term nested
+    past the recursion limit is a NestingDepthError.
+    """
+    typecheck(term)
+    try:
+        return _Trace(obs).run(term)
+    except RecursionError:
+        raise _too_deep("normal_form") from None
+
+
+# cup and cap are the spiders they stand for
+_AS_SPIDER = {Cup: Spider(0, 2), Cap: Spider(2, 0)}
+
+
+class _Trace:
+    """One union-find pass over the nodes of a box-free term.
+
+    A wire end is a node, or ~i for the term's input wire i.  Every part
+    of the term takes its input ends from one shared iterator, so each
+    ``Par`` factor takes as many as it has inputs without being asked
+    for a wire count.
+    """
+
+    def __init__(self, obs: ObservableStructure):
+        self.d = obs.dim
+        self.weights: list = []      # per node: its weights, None if all 1
+        self.parent: list[int] = []
+        self.entered: dict[int, int] = {}    # input wire -> its node
+        # an atom's legs against the cap, each count checked once
+        self.fit = functools.cache(functools.partial(check_wires, self.d))
+
+    def run(self, term: DiagramTerm) -> NormalForm:
+        taken = itertools.count()
+        ends = self.walk(term, map(operator.invert, taken))
+        parts: dict[int, list] = {}  # root -> [weights, inputs, outputs]
+        for node, weights in enumerate(self.weights):
+            part = parts.setdefault(self.find(node), [None, [], []])
+            if weights is not None:
+                part[0] = weights if part[0] is None else part[0] * weights
+        for wire, node in sorted(self.entered.items()):
+            parts[self.find(node)][1].append(wire)
+        wires = []
+        for wire, end in enumerate(ends):
+            if end < 0:
+                wires.append((~end, wire))
+            else:
+                parts[self.find(end)][2].append(wire)
+        ones = np.ones(self.d, dtype=complex)
+        scalar, components = 1 + 0j, []
+        for weights, ins, outs in parts.values():
+            weights = ones if weights is None else weights
+            weights.setflags(write=False)
+            if ins or outs:
+                components.append(Component(weights, tuple(ins), tuple(outs)))
+            else:
+                scalar *= complex(weights.sum())
+        return NormalForm(next(taken), len(ends), tuple(components),
+                          tuple(wires), scalar)
+
+    def walk(self, term: DiagramTerm, ins) -> list[int]:
+        """The ends of ``term``'s output wires, its inputs taken from
+        ``ins``.  A ``Par`` walks its factors through a generator, so a
+        level of ``Par`` nesting costs two frames to typecheck's one, and
+        a term typecheck can walk may still be too deep to trace."""
+        if isinstance(term, Seq):
+            ends = self.walk(term.stages[0], ins)
+            for stage in term.stages[1:]:
+                ends = self.walk(stage, iter(ends))
+            return ends
+        if isinstance(term, Par):
+            return list(itertools.chain.from_iterable(
+                self.walk(factor, ins) for factor in term.factors))
+        term = _AS_SPIDER.get(type(term), term)
+        if isinstance(term, Id):
+            self.fit(term.wires, "dims")
+            return list(itertools.islice(ins, term.wires))
+        if isinstance(term, Spider):
+            self.fit(term.inputs, "spider input dims")
+            self.fit(term.outputs, "spider output dims")
+            node = self.node(None if term.phase is None
+                             else _weights(term.phase, self.d))
+            for end in itertools.islice(ins, term.inputs):
+                self.join(node, end)
+            return [node] * term.outputs
+        if isinstance(term, Swap):
+            self.fit(2, "swap dims")
+            first = next(ins)
+            return [next(ins), first]
+        digits = _ket_digits(term.digits, self.d)   # all else is ruled out
+        self.fit(len(digits), "ket dims")
+        return [self.node(np.eye(1, self.d, k, dtype=complex)[0])
+                for k in digits]
+
+    def node(self, weights) -> int:
+        self.weights.append(weights)
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def join(self, node: int, end: int) -> None:
+        """Connect ``node`` to the wire end ``end``."""
+        if end < 0:
+            self.entered[~end] = node
+        else:
+            a, b = self.find(node), self.find(end)
+            self.parent[max(a, b)] = min(a, b)
+
+    def find(self, node: int) -> int:
+        parent = self.parent
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
 
 
 def evaluate(term: DiagramTerm, obs: ObservableStructure,
@@ -99,126 +265,100 @@ def evaluate(term: DiagramTerm, obs: ObservableStructure,
     """Evaluate a typechecked term to its linear map.
 
     ``boxes`` binds box names to maps whose wires must all carry the
-    observable's dimension.  A term nested past the recursion limit is a
+    observable's dimension.  The result's dims are checked against the
+    cap before any work on the term; see ``_Evaluation`` for how the map
+    is built.  A term nested past the recursion limit is a
     NestingDepthError.
     """
-    typecheck(term, boxes)
+    ins, outs = typecheck(term, boxes)
+    d = obs.dim
     if boxes:
-        d = obs.dim
         for name, bound in boxes.items():
             if any(w != d for w in bound.in_dims + bound.out_dims):
                 raise ShapeMismatchError(
                     f"box {name!r} has wire dims {bound.in_dims} -> "
                     f"{bound.out_dims}; every wire must have dimension {d}")
+    check_wires(d, ins, "in_dims")
+    check_wires(d, outs, "out_dims")
     try:
-        return _Evaluation(obs, boxes).map(term)
+        evaluation = _Evaluation(obs, boxes)
+        evaluation.mark(term)
+        return evaluation.map(term)
     except RecursionError:
         raise _too_deep("evaluate") from None
 
 
 class _Evaluation:
-    """One ``evaluate`` call: each atom's map is built once and reused.
+    """One ``evaluate`` call.
 
-    A ``Seq`` starts from its first stage's map and streams every later
-    ``Par`` stage through it factor by factor; any other stage is
-    composed as a whole.  A ``Par`` evaluated on its own is built in
-    place.  Every map and intermediate is checked against the dimension
-    cap before it is allocated.
+    A term with no box is traced once into its normal form, and the map
+    is assembled from that.  A component with n inputs and m outputs is
+    spider fusion read backwards: spider(1,m) . W . spider(n,1), where
+    W = P diag(w) P^dag for the matrix P of the observable's points.  A
+    closed component is its scalar.  One ``linalg._placed`` call writes
+    the components and the bare wires into a zeroed result, with the
+    wires' permutation in the strides of the view it writes through, so
+    a lone ``Par`` of identities, swaps and 1 -> 1 spiders is built in
+    one allocation with only its non-zero entries written.
+
+    A term with a box is composed over its ``Seq`` stages and tensored
+    in place over its ``Par`` factors; each of its box-free parts is
+    assembled from its own normal form, so no part is traced twice.
     """
 
     def __init__(self, obs: ObservableStructure,
                  boxes: Mapping[str, LinearMap] | None):
         self.obs = obs
         self.boxes = boxes
-        self.atoms: dict[DiagramTerm, LinearMap] = {}
+        self.boxed: set[int] = set()    # the ids of parts that hold a box
+
+    def mark(self, term: DiagramTerm) -> bool:
+        """Whether ``term`` holds a box, with every part that does
+        recorded in ``boxed``."""
+        if not self.boxes:
+            return False
+        parts = getattr(term, "stages", ()) or getattr(term, "factors", ())
+        held = [self.mark(part) for part in parts]
+        if isinstance(term, Box) or any(held):
+            self.boxed.add(id(term))
+            return True
+        return False
 
     def map(self, term: DiagramTerm) -> LinearMap:
-        if isinstance(term, Seq):
-            return self._seq(term.stages)
-        if isinstance(term, Par):
-            return self._par(term.factors)
-        if isinstance(term, Box):   # typecheck has found it bound
+        if id(term) not in self.boxed:
+            return self.assembled(_Trace(self.obs).run(term))
+        if isinstance(term, Box):
             return self.boxes[term.name]
-        if term not in self.atoms:
-            self.atoms[term] = _atom_map(term, self.obs)
-        return self.atoms[term]
-
-    def _dims(self, wires: int, what: str) -> tuple[int, ...]:
-        return check_wires(self.obs.dim, wires, what)
-
-    def _seq(self, stages) -> LinearMap:
-        first = self.map(stages[0])
-        arr, wires = first.array, len(first.out_dims)
-        for stage in stages[1:]:
-            if isinstance(stage, Par):
-                arr, wires = self._stream(stage.factors, arr, wires)
-            else:
-                acc = LinearMap(arr, first.in_dims, (self.obs.dim,) * wires)
-                acc = self.map(stage) @ acc
-                arr, wires = acc.array, len(acc.out_dims)
-        return LinearMap(arr, first.in_dims, (self.obs.dim,) * wires)
-
-    def _factors(self, factors) -> list[tuple[int, int, object]]:
-        """(inputs, outputs, block) per factor of a ``Par``: an ``Id``'s
-        block is its wire count, any other factor's is its matrix."""
-        walked = []
-        for f in factors:
-            if isinstance(f, Id):
-                walked.append((f.wires, f.wires, f.wires))
-            else:
-                m = self.map(f)
-                walked.append((len(m.in_dims), len(m.out_dims), m.array))
-        return walked
-
-    def _stream(self, factors, arr: np.ndarray,
-                wires: int) -> tuple[np.ndarray, int]:
-        """Apply one ``Par`` stage to the rows of ``arr``, factor by factor.
-
-        An ``Id`` costs nothing and a ``Swap`` is an axis swap.  Factors
-        that add no wires go first, so no intermediate is wider than the
-        wider side of the stage.
-        """
+        if isinstance(term, Seq):
+            acc = self.map(term.stages[0])
+            for stage in term.stages[1:]:
+                acc = compose(self.map(stage), acc)
+            return acc
+        maps = [self.map(factor) for factor in term.factors]
         d = self.obs.dim
-        walked = self._factors(factors)
-        width = [ins for ins, _, _ in walked]   # each factor's wires so far
-        for k in sorted(range(len(walked)),
-                        key=lambda k: walked[k][1] > walked[k][0]):
-            ins, outs, block = walked[k]
-            if isinstance(factors[k], Id):
-                continue
-            before = (d,) * sum(width[:k])
-            wires += outs - ins
-            self._dims(wires, "Par stage intermediate dims")
-            if isinstance(factors[k], Swap):
-                arr = swap_on_span(arr, before, d)
-            else:
-                arr = apply_on_span(block, arr, before)
-            width[k] = outs
-        return arr, wires
+        in_dims = check_wires(d, sum(len(m.in_dims) for m in maps),
+                              "Par in_dims")
+        out_dims = check_wires(d, sum(len(m.out_dims) for m in maps),
+                               "Par out_dims")
+        return LinearMap._of_finite(tensor_in_place([m.array for m in maps]),
+                                    in_dims, out_dims)
 
-    def _par(self, factors) -> LinearMap:
-        """The Kronecker product of the factors, in one allocation."""
-        d = self.obs.dim
-        ins, outs, blocks = zip(*self._factors(factors))
-        in_dims = self._dims(sum(ins), "Par in_dims")
-        out_dims = self._dims(sum(outs), "Par out_dims")
-        blocks = [d ** b if isinstance(b, int) else b for b in blocks]
-        return LinearMap._of_finite(tensor_in_place(blocks), in_dims,
-                                    out_dims)
-
-
-def _atom_map(term: DiagramTerm, obs: ObservableStructure) -> LinearMap:
-    if isinstance(term, Id):
-        return identity(check_wires(obs.dim, term.wires, "dims"))
-    if isinstance(term, Spider):
-        return spider_map(obs, term.inputs, term.outputs, term.phase)
-    if isinstance(term, Cup):
-        return spider_map(obs, 0, 2)
-    if isinstance(term, Cap):
-        return spider_map(obs, 2, 0)
-    if isinstance(term, Swap):
-        return swap_map(obs.dim)
-    return ket_map(obs, term.digits)    # typecheck rules out all else
+    def assembled(self, form: NormalForm) -> LinearMap:
+        obs, d = self.obs, self.obs.dim
+        in_dims = check_wires(d, form.in_wires, "in_dims")
+        out_dims = check_wires(d, form.out_wires, "out_dims")
+        points = obs.point_matrix()
+        blocks = [(np.array([[form.scalar]]), (), ())]
+        for part in form.components:
+            fused = LinearMap._of_finite(
+                (points * part.weights) @ points.conj().T, (d,), (d,))
+            core = compose(compose(spider_map(obs, 1, len(part.outputs)),
+                                   fused),
+                           spider_map(obs, len(part.inputs), 1))
+            blocks.append((core.array, part.outputs, part.inputs))
+        blocks += [(None, (output,), (wire,)) for wire, output in form.wires]
+        return LinearMap._of_finite(_placed(out_dims, in_dims, blocks),
+                                    in_dims, out_dims)
 
 
 def ghz_state_map(obs: ObservableStructure, legs: int) -> LinearMap:

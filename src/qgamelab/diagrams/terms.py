@@ -191,9 +191,13 @@ def pretty(term: DiagramTerm) -> str:
     """Render a term back to concrete syntax; reparses to an equal AST.
 
     Spider phases are printable only in the qubit convention (0, alpha);
-    other phase vectors have no concrete syntax.
+    other phase vectors have no concrete syntax.  A term nested past the
+    recursion limit is a NestingDepthError.
     """
-    return _render_seq(term)
+    try:
+        return _render_seq(term)
+    except RecursionError:
+        raise _too_deep("pretty") from None
 
 
 def _render_seq(term: DiagramTerm) -> str:

@@ -10,10 +10,6 @@ else builds an operator on a whole product space to apply a product:
 
 - ``apply_on_wires`` contracts one factor per axis: EWL moves, per-wire
   measurement, Bell bras and kets.
-- ``apply_on_span`` and ``swap_on_span`` apply one factor to a run of
-  adjacent wires of a map's rows, so diagram evaluation streams each
-  ``Par`` stage of a ``Seq`` through the map built so far, one factor
-  at a time, with identity factors costing nothing.
 - ``tensor_in_place`` builds a Kronecker product in one zeroed
   allocation and writes, and checks to be finite, only its non-zero
   entries, so an identity factor costs one diagonal write and no
@@ -22,6 +18,10 @@ else builds an operator on a whole product space to apply a product:
   two-factor cases.  Where the platform allows it, that allocation is
   advised against huge pages, so only the 4 KiB pages it writes become
   resident.
+- ``_placed``, the kernel under ``tensor_in_place``, places blocks on
+  any digits of the result's row and column indices, so the diagram
+  evaluator writes a normal form's spiders and bare wires with the
+  wires permuted in the strides of one view, never in a copy.
 
 It is also the one place that decides how a label-keyed table becomes an
 array and what makes its rows distributions:
@@ -60,6 +60,7 @@ import functools
 import itertools
 import math
 import mmap
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,26 +441,6 @@ def apply_on_wires(ops, tensor: np.ndarray) -> np.ndarray:
     return tensor
 
 
-def apply_on_span(op: np.ndarray, matrix: np.ndarray, before) -> np.ndarray:
-    """``(I (x) op (x) I) @ matrix``, without building that operator.
-
-    The rows of ``matrix`` index its wires, big-endian.  ``op`` acts on
-    the wires that follow the ones whose dims are ``before``; the wires
-    after its span are left alone.  The span's axis is contracted in one
-    batched product, so the cost is the size of ``matrix`` times the
-    rows of ``op``.
-    """
-    block = matrix.reshape(math.prod(before), op.shape[1], -1)
-    return np.matmul(op, block).reshape(-1, matrix.shape[1])
-
-
-def swap_on_span(matrix: np.ndarray, before, dim: int) -> np.ndarray:
-    """Exchange the two dimension-``dim`` wires after ``before`` in the
-    rows of ``matrix``: an axis swap and one copy, no contraction."""
-    block = matrix.reshape(math.prod(before), dim, dim, -1)
-    return block.swapaxes(1, 2).reshape(matrix.shape)
-
-
 # A buffer smaller than one huge page can never be backed by one.
 _HUGE_PAGE = 2 ** 21
 if hasattr(mmap, "MADV_NOHUGEPAGE"):
@@ -490,52 +471,79 @@ def tensor_in_place(factors) -> np.ndarray:
     """Kronecker product of ``factors``; the first is the most significant.
 
     A factor is a matrix, or an int n standing for the n x n identity.
-    The result is allocated once, zeroed, and only its non-zero entries
-    are written: 1 x 1 factors fold into one scalar, and each run of
-    identities is one axis of a strided view along its diagonal, so no
-    intermediate product is built.  The view has at most two axes per
-    factor, and a result that fits in memory has far fewer than 32
-    factors that are not 1 x 1, so numpy's 64-axis limit is never met.
+    Factor j is the block of ``_placed`` on row digit j and column digit
+    j, so the result is allocated once and only its non-zero entries are
+    written: an identity, or a run of them, is one axis along a diagonal,
+    and a 1 x 1 factor only scales the entries.
+    """
+    rows = [f if isinstance(f, int) else f.shape[0] for f in factors]
+    cols = [f if isinstance(f, int) else f.shape[1] for f in factors]
+    return _placed(rows, cols, [(None if isinstance(f, int) else f, (j,), (j,))
+                                for j, f in enumerate(factors)])
+
+
+def _placed(rows, cols, blocks) -> np.ndarray:
+    """The prod(rows) x prod(cols) array with ``blocks`` written on its
+    digits: the one placement kernel, behind ``tensor_in_place`` and the
+    diagram evaluator, which permutes wires through it.
+
+    A row index has one digit per entry of ``rows``, big-endian, and a
+    column index one per entry of ``cols``.  A block is (matrix, row
+    digits, column digits), and each digit is in exactly one block: the
+    matrix's rows run over its row digits and its columns over its column
+    digits, both listed in ascending order and read big-endian, and a
+    matrix of None is the identity that pairs its k-th row digit with its
+    k-th column digit, in any order.  An entry is the product of the
+    blocks' entries at its digits.
+
+    The result is allocated once, zeroed, and written through one strided
+    view: a pair of identity digits is one axis along a diagonal, and a
+    matrix digit is one axis.  Axes of length 1 are dropped and adjacent
+    axes of one block are merged where the layout allows, so every axis
+    has two entries or more and a result that fits in memory never meets
+    numpy's 64-axis limit.  The wires' order is in the view's strides
+    alone: the result is never copied or transposed.
 
     Only the matrices' product is checked to be finite, since the view
     holds nothing else, so the check costs no more than the writes.
     Beside an identity, a zero of that product is not written, even
-    where a matrix factor has it, so the pages a result makes resident
-    depend on its non-zero pattern alone; a negative zero reads as +0.
+    where a matrix has it, so the pages a result makes resident depend
+    on its non-zero pattern alone; a negative zero reads as +0.
     """
-    scalar, blocks = 1, []      # blocks: identity sizes and matrices
-    for f in factors:
-        if isinstance(f, int):
-            if blocks and isinstance(blocks[-1], int):
-                blocks[-1] *= f
-            elif f > 1:
-                blocks.append(f)
-        elif f.shape == (1, 1):
-            scalar = scalar * f[0, 0]
-        else:
-            blocks.append(f)
-    rows = tuple(b if isinstance(b, int) else b.shape[0] for b in blocks)
-    cols = tuple(b if isinstance(b, int) else b.shape[1] for b in blocks)
     out = _sparse_zeros((math.prod(rows), math.prod(cols)))
-    # Axes: every block's row digit, then each matrix's column digit; an
-    # identity's row axis also steps its column digit, along the diagonal.
-    step = out.reshape(rows + cols).strides
-    k = len(blocks)
-    dense = [j for j, b in enumerate(blocks) if not isinstance(b, int)]
+    # the byte stride of every row digit, then of every column digit
+    step = list(itertools.accumulate(reversed((*rows, *cols)), operator.mul,
+                                     initial=out.itemsize))[-2::-1]
+    k = len(rows)
+    # one axis per digit, in the result's digit order: [length, stride,
+    # block number, or None on a diagonal, which also takes its column]
+    axes = [None] * len(step)
+    for n, (matrix, r, c) in enumerate(blocks):
+        if matrix is None:
+            for a, b in zip(r, c):
+                axes[a] = [rows[a], step[a] + step[k + b], None]
+        else:
+            for a in r:
+                axes[a] = [rows[a], step[a], n]
+            for b in c:
+                axes[k + b] = [cols[b], step[k + b], n]
+    merged = []
+    for axis in (a for a in axes if a is not None and a[0] > 1):
+        if merged and merged[-1][2] == axis[2] \
+                and merged[-1][1] == axis[0] * axis[1]:
+            merged[-1][0] *= axis[0]
+            merged[-1][1] = axis[1]
+        else:
+            merged.append(axis)
     view = np.lib.stride_tricks.as_strided(
-        out, rows + tuple(cols[j] for j in dense),
-        [step[j] + (0 if j in dense else step[k + j]) for j in range(k)]
-        + [step[k + j] for j in dense])
-    operands = [np.asarray(scalar, dtype=complex)]
-    for n, j in enumerate(dense):
-        shape = [1] * view.ndim
-        shape[j], shape[k + n] = blocks[j].shape
-        operands.append(blocks[j].reshape(shape))
-    *head, last = operands
-    # With no identity block the view is the whole result, so the entries
+        out, [a[0] for a in merged], [a[1] for a in merged])
+    *head, last = [np.asarray(1, dtype=complex)] + [
+        matrix.reshape([a[0] if a[2] == n else 1 for a in merged])
+        for n, (matrix, _, _) in enumerate(blocks) if matrix is not None]
+    # With no diagonal axis the view is the whole result, so the entries
     # are computed in it; otherwise they are the matrices' product alone,
-    # which the view repeats along each identity's diagonal.
-    entries = view if len(dense) == k else None
+    # which the view repeats along each diagonal.
+    entries = None if any(a[2] is None for a in merged) else view
     # an overflow or NaN is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         entries = np.multiply(functools.reduce(np.multiply, head, 1), last,
