@@ -537,9 +537,12 @@ def _placed(rows, cols, blocks) -> np.ndarray:
             merged.append(axis)
     view = np.lib.stride_tricks.as_strided(
         out, [a[0] for a in merged], [a[1] for a in merged])
-    *head, last = [np.asarray(1, dtype=complex)] + [
+    # The largest matrix goes last, so the product of the others, the one
+    # temporary, is as small as it can be.
+    *head, last = sorted([np.asarray(1, dtype=complex)] + [
         matrix.reshape([a[0] if a[2] == n else 1 for a in merged])
-        for n, (matrix, _, _) in enumerate(blocks) if matrix is not None]
+        for n, (matrix, _, _) in enumerate(blocks) if matrix is not None],
+        key=np.size)
     # With no diagonal axis the view is the whole result, so the entries
     # are computed in it; otherwise they are the matrices' product alone,
     # which the view repeats along each diagonal.
