@@ -21,27 +21,27 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import ShapeMismatchError
+from ..errors import ShapeMismatchError, UnboundBoxError
 from ..linalg import (
     LinearMap,
     _placed,
     check_dims,
     check_wires,
     compose,
+    tensor,
     tensor_in_place,
 )
 from .observables import ObservableStructure, PhaseElement
 from .terms import (
+    _AS_SPIDER,
     Box,
-    Cap,
-    Cup,
     DiagramTerm,
     Id,
     Par,
     Seq,
     Spider,
     Swap,
-    _too_deep,
+    _depth_guarded,
     typecheck,
 )
 
@@ -136,6 +136,7 @@ class NormalForm:
     scalar: complex
 
 
+@_depth_guarded
 def normal_form(term: DiagramTerm, obs: ObservableStructure) -> NormalForm:
     """The spider normal form of a box-free term.
 
@@ -150,14 +151,7 @@ def normal_form(term: DiagramTerm, obs: ObservableStructure) -> NormalForm:
     past the recursion limit is a NestingDepthError.
     """
     typecheck(term)
-    try:
-        return _Trace(obs).run(term)
-    except RecursionError:
-        raise _too_deep("normal_form") from None
-
-
-# cup and cap are the spiders they stand for
-_AS_SPIDER = {Cup: Spider(0, 2), Cap: Spider(2, 0)}
+    return _Trace(obs).run(term)
 
 
 class _Trace:
@@ -260,6 +254,7 @@ class _Trace:
         return node
 
 
+@_depth_guarded
 def evaluate(term: DiagramTerm, obs: ObservableStructure,
              boxes: Mapping[str, LinearMap] | None = None) -> LinearMap:
     """Evaluate a typechecked term to its linear map.
@@ -272,20 +267,19 @@ def evaluate(term: DiagramTerm, obs: ObservableStructure,
     """
     ins, outs = typecheck(term, boxes)
     d = obs.dim
-    if boxes:
-        for name, bound in boxes.items():
-            if any(w != d for w in bound.in_dims + bound.out_dims):
-                raise ShapeMismatchError(
-                    f"box {name!r} has wire dims {bound.in_dims} -> "
-                    f"{bound.out_dims}; every wire must have dimension {d}")
+    for name, bound in (boxes or {}).items():
+        if not isinstance(bound, LinearMap):
+            raise UnboundBoxError(f"box {name!r} is bound to a "
+                                  f"{type(bound).__name__}, not a LinearMap")
+        if any(w != d for w in bound.in_dims + bound.out_dims):
+            raise ShapeMismatchError(
+                f"box {name!r} has wire dims {bound.in_dims} -> "
+                f"{bound.out_dims}; every wire must have dimension {d}")
     check_wires(d, ins, "in_dims")
     check_wires(d, outs, "out_dims")
-    try:
-        evaluation = _Evaluation(obs, boxes)
-        evaluation.mark(term)
-        return evaluation.map(term)
-    except RecursionError:
-        raise _too_deep("evaluate") from None
+    evaluation = _Evaluation(obs, boxes)
+    evaluation.mark(term)
+    return evaluation.map(term)
 
 
 class _Evaluation:
@@ -302,7 +296,7 @@ class _Evaluation:
     one allocation with only its non-zero entries written.
 
     A term with a box is composed over its ``Seq`` stages and tensored
-    in place over its ``Par`` factors; each of its box-free parts is
+    over its ``Par`` factors; each of its box-free parts is
     assembled from its own normal form, so no part is traced twice.
     """
 
@@ -334,14 +328,7 @@ class _Evaluation:
             for stage in term.stages[1:]:
                 acc = compose(self.map(stage), acc)
             return acc
-        maps = [self.map(factor) for factor in term.factors]
-        d = self.obs.dim
-        in_dims = check_wires(d, sum(len(m.in_dims) for m in maps),
-                              "Par in_dims")
-        out_dims = check_wires(d, sum(len(m.out_dims) for m in maps),
-                               "Par out_dims")
-        return LinearMap._of_finite(tensor_in_place([m.array for m in maps]),
-                                    in_dims, out_dims)
+        return tensor(*map(self.map, term.factors))
 
     def assembled(self, form: NormalForm) -> LinearMap:
         obs, d = self.obs, self.obs.dim

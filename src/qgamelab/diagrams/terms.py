@@ -8,13 +8,14 @@ by the observable the term is evaluated against.
 
 from __future__ import annotations
 
+import functools
 import operator
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 from ..errors import NestingDepthError, UnboundBoxError, WireCountError
-from ..linalg import ascii_digits
+from ..linalg import LinearMap, ascii_digits
 from .observables import PhaseElement
 
 
@@ -26,6 +27,21 @@ def _count(value, what: str) -> int:
     if n < 0:
         raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
     return n
+
+
+def _depth_guarded(walk):
+    """``walk``, a walk over a term, with a RecursionError turned into a
+    NestingDepthError named after it, such as "typecheck: …"."""
+    @functools.wraps(walk)
+    def guarded(*args, **kwargs):
+        try:
+            return walk(*args, **kwargs)
+        except RecursionError:
+            raise NestingDepthError(
+                f"{walk.__name__.strip('_')}: diagram term nests too deeply "
+                f"for the recursion limit ({sys.getrecursionlimit()})") \
+                from None
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -100,6 +116,14 @@ class Par:
 
 DiagramTerm = Union[Id, Spider, Cup, Cap, Swap, Box, Ket, Seq, Par]
 
+# the dataclass repr, == and hash walk a term as deep as it nests
+for _cls in (Seq, Par):
+    for _name in ("__repr__", "__eq__", "__hash__"):
+        setattr(_cls, _name, _depth_guarded(getattr(_cls, _name)))
+
+# cup and cap are the spiders they stand for
+_AS_SPIDER = {Cup: Spider(0, 2), Cap: Spider(2, 0)}
+
 # The concrete syntax of every atom, read by both the parser and pretty():
 # keyword -> (term class, kinds of its arguments, in field order).  An
 # argument is a "nat" (natural number), a "name" (identifier), "digits"
@@ -122,44 +146,35 @@ def _box_signature(name: str, boxes: BoxSignatures | None) -> tuple[int, int]:
     if boxes is None or name not in boxes:
         raise UnboundBoxError(f"box {name!r} is not bound")
     sig = boxes[name]
-    if isinstance(sig, tuple):
-        ins, outs = sig
-        return int(ins), int(outs)
-    # anything map-like with wire dims, e.g. a LinearMap binding
-    return len(sig.in_dims), len(sig.out_dims)
+    if isinstance(sig, LinearMap):
+        sig = len(sig.in_dims), len(sig.out_dims)
+    if not isinstance(sig, tuple) or len(sig) != 2:
+        raise UnboundBoxError(
+            f"box {name!r} is bound to a {type(sig).__name__}, not an "
+            f"(inputs, outputs) pair or a LinearMap")
+    return tuple(_count(n, f"box {name!r} wire count") for n in sig)
 
 
+@_depth_guarded
 def typecheck(term: DiagramTerm,
               boxes: BoxSignatures | None = None) -> tuple[int, int]:
     """Wire counts (inputs, outputs) of a term, bottom-up.
 
     ``boxes`` maps box names to (in_wires, out_wires) pairs or to bound
     LinearMaps.  Raises WireCountError on a Seq stage mismatch,
-    UnboundBoxError for unknown boxes, and NestingDepthError for a term
-    nested past the recursion limit.
+    UnboundBoxError for unknown boxes and malformed bindings, and
+    NestingDepthError for a term nested past the recursion limit.
     """
-    try:
-        return _wire_counts(term, boxes)
-    except RecursionError:
-        raise _too_deep("typecheck") from None
-
-
-def _too_deep(what: str) -> NestingDepthError:
-    return NestingDepthError(
-        f"{what}: diagram term nests too deeply for the recursion limit "
-        f"({sys.getrecursionlimit()})")
+    return _wire_counts(term, boxes)
 
 
 def _wire_counts(term: DiagramTerm,
                  boxes: BoxSignatures | None) -> tuple[int, int]:
+    term = _AS_SPIDER.get(type(term), term)
     if isinstance(term, Id):
         return term.wires, term.wires
     if isinstance(term, Spider):
         return term.inputs, term.outputs
-    if isinstance(term, Cup):
-        return 0, 2
-    if isinstance(term, Cap):
-        return 2, 0
     if isinstance(term, Swap):
         return 2, 2
     if isinstance(term, Box):
@@ -187,6 +202,7 @@ def _wire_counts(term: DiagramTerm,
     raise TypeError(f"not a diagram term: {term!r}")
 
 
+@_depth_guarded
 def pretty(term: DiagramTerm) -> str:
     """Render a term back to concrete syntax; reparses to an equal AST.
 
@@ -194,10 +210,7 @@ def pretty(term: DiagramTerm) -> str:
     other phase vectors have no concrete syntax.  A term nested past the
     recursion limit is a NestingDepthError.
     """
-    try:
-        return _render_seq(term)
-    except RecursionError:
-        raise _too_deep("pretty") from None
+    return _render_seq(term)
 
 
 def _render_seq(term: DiagramTerm) -> str:

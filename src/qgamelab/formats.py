@@ -356,15 +356,23 @@ def _gates(entries: list, dim: int) -> dict[str, LinearMap] | None:
     """A player's strategies with all their matrices read as one array,
     or None unless each is a name and a dim x dim matrix of [re, im]
     pairs, and the names are distinct."""
-    if dim <= dimension_limit() and all(
-            type(e) is dict and e.keys() == {"name", "matrix"}
-            for e in entries):
-        stack = _complex_array([e["matrix"] for e in entries],
-                               (len(entries), dim, dim))
-        gates = {} if stack is None else {
-            str(e["name"]): LinearMap._of_finite(gate, (dim,), (dim,))
-            for e, gate in zip(entries, stack)}
-        return gates if len(gates) == len(entries) else None
+    stack = _stacked(entries, dim, "matrix", "name")
+    gates = {} if stack is None else {
+        str(e["name"]): LinearMap._of_finite(gate, (dim,), (dim,))
+        for e, gate in zip(entries, stack)}
+    return gates if len(gates) == len(entries) else None
+
+
+def _stacked(entries, d: int, field: str, *others: str) -> np.ndarray | None:
+    """Each entry's ``field``, d rows of d [re, im] pairs, read as one
+    (len(entries), d, d) array, or None unless ``entries`` is a list of
+    objects whose keys are ``field`` and ``others`` alone, and d is
+    within the dimension cap."""
+    keys = {field, *others}
+    if entries is None or d > dimension_limit() or not all(
+            type(e) is dict and e.keys() == keys for e in entries):
+        return None
+    return _complex_array([e[field] for e in entries], (len(entries), d, d))
 
 
 def ewl_to_json(spec: QuantumGameSpec) -> dict:
@@ -509,7 +517,9 @@ def _quantum_advice_from_json(doc: Mapping,
     raw_meas = _require(doc, "measurements", "advice")
     if not isinstance(raw_meas, list) or len(raw_meas) != n:
         raise FormatError(f"advice.measurements: expected {n} objects")
-    stacks = tuple(map(_bases, raw_meas, game.types, dims))
+    # each player's {"basis": ...} per type, in type order, as one stack
+    stacks = tuple(_stacked(_listed(raw, types), d, "basis")
+                   for raw, types, d in zip(raw_meas, game.types, dims))
     if not any(stack is None for stack in stacks):
         return _built("advice", QuantumAdvice._of_grid, game, stacks,
                       shared_state=state)
@@ -543,17 +553,6 @@ def _quantum_advice_from_json(doc: Mapping,
         measurements.append(table)
     return _built("advice", QuantumAdvice, game.types, game.strategies,
                   state, tuple(measurements))
-
-
-def _bases(raw, types, d: int) -> np.ndarray | None:
-    """A player's measurement bases read as one (X_i, d, d) array in the
-    order of ``types``, or None unless ``raw`` maps each type, and no
-    other key, to a {"basis": ...} of d vectors of d [re, im] pairs."""
-    entries = _listed(raw, types)
-    if entries is None or not all(
-            type(e) is dict and e.keys() == {"basis"} for e in entries):
-        return None
-    return _complex_array([e["basis"] for e in entries], (len(types), d, d))
 
 
 def advice_to_json(advice) -> dict:

@@ -403,12 +403,14 @@ class StateVector:
                                      rtol=0.0, atol=tol)))
 
 
-def tensor(a: LinearMap, b: LinearMap) -> LinearMap:
-    """Kronecker product; the left factor is the most significant wire."""
-    in_dims = check_dims(a.in_dims + b.in_dims, "combined in_dims")
-    out_dims = check_dims(a.out_dims + b.out_dims, "combined out_dims")
-    return LinearMap._of_finite(tensor_in_place([a.array, b.array]), in_dims,
-                                out_dims)
+def tensor(*maps: LinearMap) -> LinearMap:
+    """Kronecker product of any number of maps, the first on the most
+    significant wires; of none, the identity on no wires."""
+    in_dims = check_dims(sum((m.in_dims for m in maps), ()), "combined in_dims")
+    out_dims = check_dims(sum((m.out_dims for m in maps), ()),
+                          "combined out_dims")
+    return LinearMap._of_finite(tensor_in_place([m.array for m in maps]),
+                                in_dims, out_dims)
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
