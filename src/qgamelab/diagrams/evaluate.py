@@ -13,7 +13,6 @@ connected network of spiders, cups, caps and kets is one spider.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from ..linalg import (
     check_dims,
     check_wires,
     compose,
+    dimension_limit,
     tensor,
     tensor_in_place,
 )
@@ -154,13 +154,20 @@ def normal_form(term: DiagramTerm, obs: ObservableStructure) -> NormalForm:
     return _Trace(obs).run(term)
 
 
+# the classes _Trace.walk dispatches on; a subclass walks as its class
+_WALKED = (Spider, Id, Seq, Par, Swap)
+
+
 class _Trace:
     """One union-find pass over the nodes of a box-free term.
 
     A wire end is a node, or ~i for the term's input wire i.  Every part
     of the term takes its input ends from one shared iterator, so each
     ``Par`` factor takes as many as it has inputs without being asked
-    for a wire count.
+    for a wire count.  A node's root is the least node it is joined to.
+    Each atom's leg counts are checked against ``legs``, the most legs
+    the dimension cap allows, read when the trace starts; only a count
+    above it goes to ``check_wires``, which raises DimensionLimitError.
     """
 
     def __init__(self, obs: ObservableStructure):
@@ -168,25 +175,29 @@ class _Trace:
         self.weights: list = []      # per node: its weights, None if all 1
         self.parent: list[int] = []
         self.entered: dict[int, int] = {}    # input wire -> its node
-        # an atom's legs against the cap, each count checked once
-        self.fit = functools.cache(functools.partial(check_wires, self.d))
+        cap = dimension_limit()     # for d = 1, check_wires counts wires
+        self.legs = cap if self.d == 1 else max(
+            n for n in range(cap.bit_length()) if self.d ** n <= cap)
 
     def run(self, term: DiagramTerm) -> NormalForm:
         taken = itertools.count()
         ends = self.walk(term, map(operator.invert, taken))
+        root: list[int] = []    # per node; no node's parent is above it
+        for node, up in enumerate(self.parent):
+            root.append(node if up == node else root[up])
         parts: dict[int, list] = {}  # root -> [weights, inputs, outputs]
         for node, weights in enumerate(self.weights):
-            part = parts.setdefault(self.find(node), [None, [], []])
+            part = parts.setdefault(root[node], [None, [], []])
             if weights is not None:
                 part[0] = weights if part[0] is None else part[0] * weights
         for wire, node in sorted(self.entered.items()):
-            parts[self.find(node)][1].append(wire)
+            parts[root[node]][1].append(wire)
         wires = []
         for wire, end in enumerate(ends):
             if end < 0:
                 wires.append((~end, wire))
             else:
-                parts[self.find(end)][2].append(wire)
+                parts[root[end]][2].append(wire)
         ones = np.ones(self.d, dtype=complex)
         scalar, components = 1 + 0j, []
         for weights, ins, outs in parts.values():
@@ -204,32 +215,47 @@ class _Trace:
         ``ins``.  A ``Par`` walks its factors through a generator, so a
         level of ``Par`` nesting costs two frames to typecheck's one, and
         a term typecheck can walk may still be too deep to trace."""
-        if isinstance(term, Seq):
+        kind = type(term)
+        if kind not in _WALKED:     # a cup, cap or ket, or a subclass
+            term = _AS_SPIDER.get(kind, term)
+            kind = next((k for k in _WALKED if isinstance(term, k)), None)
+        if kind is Spider:
+            if term.inputs > self.legs or term.outputs > self.legs:
+                check_wires(self.d, term.inputs, "spider input dims")
+                check_wires(self.d, term.outputs, "spider output dims")
+            root = node = self.node(None if term.phase is None
+                                    else _weights(term.phase, self.d))
+            parent = self.parent
+            for end in itertools.islice(ins, term.inputs):
+                if end < 0:
+                    self.entered[~end] = node
+                    continue
+                while parent[end] != end:       # find, halving the path
+                    parent[end] = end = parent[parent[end]]
+                if end < root:
+                    parent[root] = root = end
+                else:
+                    parent[end] = root
+            return [node] * term.outputs
+        if kind is Id:
+            if term.wires > self.legs:
+                check_wires(self.d, term.wires, "dims")
+            return list(itertools.islice(ins, term.wires))
+        if kind is Seq:
             ends = self.walk(term.stages[0], ins)
             for stage in term.stages[1:]:
                 ends = self.walk(stage, iter(ends))
             return ends
-        if isinstance(term, Par):
+        if kind is Par:
             return list(itertools.chain.from_iterable(
                 self.walk(factor, ins) for factor in term.factors))
-        term = _AS_SPIDER.get(type(term), term)
-        if isinstance(term, Id):
-            self.fit(term.wires, "dims")
-            return list(itertools.islice(ins, term.wires))
-        if isinstance(term, Spider):
-            self.fit(term.inputs, "spider input dims")
-            self.fit(term.outputs, "spider output dims")
-            node = self.node(None if term.phase is None
-                             else _weights(term.phase, self.d))
-            for end in itertools.islice(ins, term.inputs):
-                self.join(node, end)
-            return [node] * term.outputs
-        if isinstance(term, Swap):
-            self.fit(2, "swap dims")
+        if kind is Swap:
+            if self.legs < 2:
+                check_wires(self.d, 2, "swap dims")
             first = next(ins)
             return [next(ins), first]
         digits = _ket_digits(term.digits, self.d)   # all else is ruled out
-        self.fit(len(digits), "ket dims")
+        check_wires(self.d, len(digits), "ket dims")
         return [self.node(np.eye(1, self.d, k, dtype=complex)[0])
                 for k in digits]
 
@@ -237,21 +263,6 @@ class _Trace:
         self.weights.append(weights)
         self.parent.append(len(self.parent))
         return len(self.parent) - 1
-
-    def join(self, node: int, end: int) -> None:
-        """Connect ``node`` to the wire end ``end``."""
-        if end < 0:
-            self.entered[~end] = node
-        else:
-            a, b = self.find(node), self.find(end)
-            self.parent[max(a, b)] = min(a, b)
-
-    def find(self, node: int) -> int:
-        parent = self.parent
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
 
 
 @_depth_guarded

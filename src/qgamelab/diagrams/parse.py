@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for the diagram language.
+"""One-pass and recursive-descent parsers for the diagram language.
 
 Grammar (whitespace-insensitive, ``#`` comments to end of line):
 
@@ -18,11 +18,13 @@ that lists each atom's keyword and arguments; ``pretty()`` reads it too.
 
 ``parse`` reads each well-formed atom with one match of ``_ATOM_RE``:
 its keyword, its arguments, and any whitespace or comments inside it.
-The recursive descent then sees only atoms, ";", "*" and parentheses,
-and an atom's term is built once per distinct atom text in a call.  If
-any part of the text is not a well-formed atom or one of those four
-characters, or the descent fails, the whole text is parsed again token
-by token (``_tokenize``), so each error is derived exactly as from the
+It builds the term in one pass over those matches (``_one_pass``), with
+a stack of the groups that open parentheses left open, and builds an
+atom's term once per distinct atom text in a call.  If any part of the
+text is not a well-formed atom, ";", "*" or a parenthesis, or one of
+these stands where it cannot, or the parentheses do not balance or nest
+too deep, or a number is one no term holds, the whole text is parsed
+again by recursive descent over its tokens (``_tokenize``), so each error is derived exactly as from the
 per-lexeme tokens: the same message, line, column and expected set.
 """
 
@@ -93,15 +95,14 @@ _ATOM_RE = re.compile(rf"{_SKIP}(?:(?P<punct>[;*()])|" + "|".join(
     _atom_pattern(k, kinds) for k, (_, kinds) in ATOM_SYNTAX.items())
     + r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
 
-# Parentheses may nest this deep.  Parsing takes three stack frames per
-# level and pretty() up to three, so the recursive walks over the AST
+# Parentheses may nest this deep.  The recursive descent takes three
+# stack frames per level and pretty() up to three, so the recursive walks over the AST
 # stay well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 
 class Token(NamedTuple):
-    kind: str       # "number" | "ident" | "punct" | "eof", or from
-                    # _atom_tokens an atom keyword or "bad"
+    kind: str       # "number" | "ident" | "punct" | "eof"
     text: str
     offset: int     # index of the first character in the source
 
@@ -124,27 +125,53 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _atom_tokens(text: str) -> tuple[list[Token], dict[str, DiagramTerm]]:
-    """The tokens of ``text`` with each well-formed atom as one token of
-    its keyword's kind, and the term of each distinct atom text.  The
-    first character that starts nothing else is a "bad" token, which no
-    rule accepts."""
-    tokens, atoms = [], {}
+def _joined(cls, parts: list) -> DiagramTerm:
+    """The one part, or the ``Seq`` or ``Par`` (``cls``) of them all."""
+    return parts[0] if len(parts) == 1 else cls(tuple(parts))
+
+
+def _one_pass(text: str) -> DiagramTerm | None:
+    """The term of ``text``, read straight from its ``_ATOM_RE`` matches,
+    or None if anything in it is unusual: a character that starts no atom
+    or punctuation, an operator where an operand belongs or the reverse,
+    an unbalanced parenthesis, or nesting past MAX_NESTING.
+
+    An open parenthesis pushes the ``(stages, factors)`` of the group it
+    opens in, and an atom's term is built once per distinct atom text.
+    """
+    atoms, frames, stages, factors = {}, [], [], []
+    operand = True      # an atom or "(" comes next, not ";", "*", ")" or eof
     for m in _ATOM_RE.finditer(text):
-        kind, i = m.lastgroup, m.lastindex
-        if kind in ATOM_SYNTAX and m[i] not in atoms:
-            cls, kinds = ATOM_SYNTAX[kind]
-            atoms[m[i]] = cls(*(_ARGUMENTS[k][2](arg) for k, arg in
-                                zip(kinds, m.groups()[i:]) if arg is not None))
-        tokens.append(Token(kind, m[i], m.start(i)))
-    return tokens, atoms
+        kind, t = m.lastgroup, m[m.lastindex]
+        if kind in ATOM_SYNTAX and operand:
+            if t not in atoms:
+                cls, kinds = ATOM_SYNTAX[kind]
+                atoms[t] = cls(*(_ARGUMENTS[k][2](arg) for k, arg in zip(
+                    kinds, m.groups()[m.lastindex:]) if arg is not None))
+            factors.append(atoms[t])
+            operand = False
+        elif t == "(" and operand and len(frames) < MAX_NESTING:
+            frames.append((stages, factors))
+            stages, factors = [], []
+        elif operand or t not in (";", "*", ")" if frames else ""):
+            return None     # ")" closes a group, and eof ("") the text
+        elif t == "*":
+            operand = True
+        else:
+            stages.append(_joined(Par, factors))
+            factors, operand = [], t == ";"
+            if not operand:
+                inner = _joined(Seq, stages)
+                if not frames:
+                    return inner
+                stages, factors = frames.pop()
+                factors.append(inner)
 
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[Token], atoms=None):
+    def __init__(self, text: str, tokens: list[Token]):
         self.text = text
         self.tokens = tokens
-        self.atoms = atoms
         self.pos = 0
         self.depth = 0
 
@@ -178,19 +205,16 @@ class _Parser:
         stages = [self.parse_par()]
         while self.accept(";"):
             stages.append(self.parse_par())
-        return stages[0] if len(stages) == 1 else Seq(tuple(stages))
+        return _joined(Seq, stages)
 
     def parse_par(self) -> DiagramTerm:
         factors = [self.parse_atom()]
         while self.accept("*"):
             factors.append(self.parse_atom())
-        return factors[0] if len(factors) == 1 else Par(tuple(factors))
+        return _joined(Par, factors)
 
     def parse_atom(self) -> DiagramTerm:
         tok = self.tokens[self.pos]
-        if tok.kind in ATOM_SYNTAX:
-            self.pos += 1
-            return self.atoms[tok.text]
         if self.accept("("):
             if self.depth == MAX_NESTING:
                 raise DiagramSyntaxError(
@@ -256,8 +280,8 @@ def parse(text: str) -> DiagramTerm:
     Raises DiagramSyntaxError with line/column and the expected tokens.
     """
     try:
-        return _Parser(text, *_atom_tokens(text)).parse()
-    except (DiagramSyntaxError, ValueError):
-        # A malformed text, or a number no term holds (an int past the
-        # digit limit, a phase that overflows): find the error by tokens.
-        return _Parser(text, _tokenize(text)).parse()
+        term = _one_pass(text)
+    except ValueError:  # an int past the digit limit, a phase that overflows
+        term = None
+    # a malformed text: find the error token by token
+    return _Parser(text, _tokenize(text)).parse() if term is None else term

@@ -170,17 +170,10 @@ def typecheck(term: DiagramTerm,
 
 def _wire_counts(term: DiagramTerm,
                  boxes: BoxSignatures | None) -> tuple[int, int]:
-    term = _AS_SPIDER.get(type(term), term)
-    if isinstance(term, Id):
-        return term.wires, term.wires
-    if isinstance(term, Spider):
+    if type(term) is Spider:    # the two commonest atoms first
         return term.inputs, term.outputs
-    if isinstance(term, Swap):
-        return 2, 2
-    if isinstance(term, Box):
-        return _box_signature(term.name, boxes)
-    if isinstance(term, Ket):
-        return 0, len(term.digits)
+    if type(term) is Id:
+        return term.wires, term.wires
     if isinstance(term, Seq):
         ins, current = _wire_counts(term.stages[0], boxes)
         for i, stage in enumerate(term.stages[1:], start=1):
@@ -199,6 +192,17 @@ def _wire_counts(term: DiagramTerm,
             ins += fin
             outs += fout
         return ins, outs
+    term = _AS_SPIDER.get(type(term), term)
+    if isinstance(term, Id):
+        return term.wires, term.wires
+    if isinstance(term, Spider):
+        return term.inputs, term.outputs
+    if isinstance(term, Swap):
+        return 2, 2
+    if isinstance(term, Box):
+        return _box_signature(term.name, boxes)
+    if isinstance(term, Ket):
+        return 0, len(term.digits)
     raise TypeError(f"not a diagram term: {term!r}")
 
 
