@@ -24,8 +24,9 @@ atom's term once per distinct atom text in a call.  If any part of the
 text is not a well-formed atom, ";", "*" or a parenthesis, or one of
 these stands where it cannot, or the parentheses do not balance or nest
 too deep, or a number is one no term holds, the whole text is parsed
-again by recursive descent over its tokens (``_tokenize``), so each error is derived exactly as from the
-per-lexeme tokens: the same message, line, column and expected set.
+again by recursive descent over its tokens (``_tokenize``), so each
+error is derived exactly as from the per-lexeme tokens: the same
+message, line, column and expected set.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ _ATOM_RE = re.compile(rf"{_SKIP}(?:(?P<punct>[;*()])|" + "|".join(
     + r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
 
 # Parentheses may nest this deep.  The recursive descent takes three
-# stack frames per level and pretty() up to three, so the recursive walks over the AST
-# stay well inside Python's default recursion limit of 1000.
+# stack frames per level and pretty() up to three, so the recursive
+# walks over the AST stay well inside Python's default recursion limit
+# of 1000.
 MAX_NESTING = 100
 
 
