@@ -32,6 +32,7 @@ from .errors import (DimensionLimitError, EnumerationLimitError,
 from .linalg import outcome_labels
 
 _LIMIT_ERRORS = (EnumerationLimitError, DimensionLimitError)
+_TABLE_SEP = "  "     # between the cells of a table row
 
 
 def _round12(x: float) -> float:
@@ -59,24 +60,67 @@ def _num(x: float) -> str:
     return f"{_round12(x):.12g}"
 
 
-def _complex_rows(array: np.ndarray, real_fmt, imag_fmt) -> list[list[str]]:
-    """Each row of a complex matrix as the text of its entries: the real
-    part through ``real_fmt`` then the imaginary part through
-    ``imag_fmt``, both rounded to 12 significant digits.  Each distinct
-    non-zero entry is formatted once, and every zero shares one text."""
-    nonzero = np.flatnonzero(array)
-    distinct, inverse = np.unique(array.ravel()[nonzero], return_inverse=True)
-    text = np.array([real_fmt(0.0) + imag_fmt(0.0)]
-                    + [real_fmt(_round12(z.real)) + imag_fmt(_round12(z.imag))
-                       for z in distinct.tolist()], dtype=object)
-    index = np.zeros(array.shape, dtype=np.intp)
-    index.flat[nonzero] = inverse + 1
-    return text[index].tolist()
+def _complex_rows(array: np.ndarray, real_fmt, imag_fmt,
+                  sep: str) -> list[str]:
+    """Each row of a complex matrix as the text of its entries joined by
+    ``sep``: the real part through ``real_fmt`` then the imaginary part
+    through ``imag_fmt``, both rounded to 12 significant digits.
+
+    The work grows with the rows and the non-zeros, not with the entries.
+    Each distinct part of the non-zero entries is formatted once, and each
+    distinct entry's text built once.  A row is one join of its items:
+    each non-zero's text, and each run of zeros before, between or after
+    them, a slice of the all-zero row, which every all-zero row shares.
+    A row with no zero is a join of its texts alone."""
+    rows, cols = array.shape
+    zero = real_fmt(0.0) + imag_fmt(0.0)
+    zero_row = sep.join([zero] * cols)
+    # array != 0 keeps flatnonzero off numpy's slow path for complex input
+    nonzero = np.flatnonzero(array != 0)
+    values = array.ravel()[nonzero]
+    # the distinct entries, through sorts of their parts and of the pairs'
+    # ranks, which numpy does about twice as fast as a sort of complex;
+    # each distinct part is formatted once
+    re, re_rank = np.unique(values.real, return_inverse=True)
+    im, im_rank = np.unique(values.imag, return_inverse=True)
+    pairs, inverse = np.unique(re_rank * len(im) + im_rank,
+                               return_inverse=True)
+    re_text = [real_fmt(_round12(x)) for x in re.tolist()]
+    im_text = [imag_fmt(_round12(y)) for y in im.tolist()]
+    text = np.array([re_text[k // len(im)] + im_text[k % len(im)]
+                     for k in pairs.tolist()], dtype=object)
+    # each row's non-zeros, then a stop at column `cols`; a slot's run is
+    # the zeros between it and the slot before it in its row, and goes in
+    # before that slot's text, a stop's before the next row's first run
+    row, col = np.divmod(nonzero, cols)
+    ends = np.searchsorted(row, np.arange(1, rows + 1))
+    column = np.insert(col, ends, cols)
+    runs = column - np.concatenate(([0], column[:-1] + 1)) % (cols + 1)
+    kept = runs > 0
+    lengths, length = np.unique(runs[kept], return_inverse=True)
+    width = len(zero) + len(sep)
+    items = np.insert(
+        text[inverse], np.insert(np.arange(len(nonzero)), ends, ends)[kept],
+        np.array([zero_row[:n * width - len(sep)] for n in lengths.tolist()],
+                 dtype=object)[length]).tolist()
+    # a row ends after its non-zeros and the runs up to its stop
+    out, start = [], 0
+    for end in (ends + np.cumsum(kept)[ends + np.arange(rows)]).tolist():
+        out.append(sep.join(items[start:end]))
+        start = end
+    return out
 
 
 def _table_cells(array: np.ndarray) -> list[list[str]]:
     """Each row of a complex matrix as table cells such as ``0.5-1i``."""
-    return _complex_rows(array, "{:.12g}".format, "{:+.12g}i".format)
+    return [row.split(_TABLE_SEP) for row in _table_rows(array)]
+
+
+def _table_rows(array: np.ndarray) -> list[str]:
+    """Each row of a complex matrix as its table cells joined by
+    ``_TABLE_SEP``; a cell holds no space."""
+    return _complex_rows(array, "{:.12g}".format, "{:+.12g}i".format,
+                         _TABLE_SEP)
 
 
 def _matrix_json(array: np.ndarray) -> list[str]:
@@ -84,9 +128,9 @@ def _matrix_json(array: np.ndarray) -> list[str]:
     rows of [re, im] pairs as a value of the top-level object: one string
     per row, with the brackets between them."""
     pieces = ["[\n    [\n      "]
-    for cells in _complex_rows(array, "[\n        {!r},\n        ".format,
-                               "{!r}\n      ]".format):
-        pieces += (",\n      ".join(cells), "\n    ],\n    [\n      ")
+    for row in _complex_rows(array, "[\n        {!r},\n        ".format,
+                             "{!r}\n      ]".format, ",\n      "):
+        pieces += (row, "\n    ],\n    [\n      ")
     pieces[-1] = "\n    ]\n  ]"
     return pieces
 
@@ -173,6 +217,8 @@ def _cmd_ewl_state(args) -> tuple[dict, list[str]]:
         "distribution": result.outcome_distribution,
         "payoffs": list(result.payoffs),
     }
+    if args.output == "json":
+        return report, []
     lines = [f"profile: {','.join(profile)}", "amplitudes:"]
     (cells,) = _table_cells(result.final_state.amplitudes[np.newaxis])
     for label, cell in zip(outcome_labels(result.final_state.dims), cells):
@@ -301,8 +347,7 @@ def _cmd_diagram_eval(args) -> tuple[dict, list[str]]:
         return report, []
     lines = [f"{report['pretty']}  ({in_wires} -> {out_wires} wires, "
              f"dim {args.dim})"]
-    lines += ("  [" + "  ".join(cells) + "]"
-              for cells in _table_cells(result.array))
+    lines += ("  [" + row + "]" for row in _table_rows(result.array))
     return report, lines
 
 

@@ -346,13 +346,17 @@ class _Evaluation:
         in_dims = check_wires(d, form.in_wires, "in_dims")
         out_dims = check_wires(d, form.out_wires, "out_dims")
         points = obs.point_matrix()
+        dual = points.conj().T
+        # each leg count's spider, built once per call
+        spiders = {legs: spider_map(obs, *legs) for legs in {
+            legs for part in form.components
+            for legs in ((1, len(part.outputs)), (len(part.inputs), 1))}}
         blocks = [(np.array([[form.scalar]]), (), ())]
         for part in form.components:
-            fused = LinearMap._of_finite(
-                (points * part.weights) @ points.conj().T, (d,), (d,))
-            core = compose(compose(spider_map(obs, 1, len(part.outputs)),
-                                   fused),
-                           spider_map(obs, len(part.inputs), 1))
+            fused = LinearMap._of_finite((points * part.weights) @ dual,
+                                         (d,), (d,))
+            core = compose(compose(spiders[1, len(part.outputs)], fused),
+                           spiders[len(part.inputs), 1])
             blocks.append((core.array, part.outputs, part.inputs))
         blocks += [(None, (output,), (wire,)) for wire, output in form.wires]
         return LinearMap._of_finite(_placed(out_dims, in_dims, blocks),

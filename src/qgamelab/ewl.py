@@ -363,15 +363,23 @@ def _as_game(game) -> StrategicFormGame:
     raise TypeError(f"expected a game, spec, or payoff table: {game!r}")
 
 
-def _scanned(game) -> tuple[list[Profile], np.ndarray]:
-    """Profiles in product order, and payoffs as (k_0..k_{N-1}, player).
+def _scanned(game) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
+    """The strategy labels, and payoffs as (k_0..k_{N-1}, player).
 
     A spec goes through ``to_strategic_form``, whose payoff dict is not
     built unless read.
     """
     g = to_strategic_form(game) if isinstance(game, QuantumGameSpec) \
         else _as_game(game)
-    return g.profiles(), g._pay
+    return g.strategy_labels, g._pay
+
+
+def _profiles_at(labels, flat: np.ndarray) -> list[Profile]:
+    """The profiles at the positions ``flat`` of the product order of
+    ``labels``, in that order: only the reported profiles get labels."""
+    digits = np.unravel_index(flat, tuple(map(len, labels)))
+    return list(zip(*([per[k] for k in ks.tolist()]
+                      for per, ks in zip(labels, digits))))
 
 
 def _labels_from_table(table: Mapping[Profile, Sequence[float]]) \
@@ -402,13 +410,13 @@ def pure_nash(game, tol: float = NASH_TOL) -> list[Profile]:
     along that player's axis (NaN payoffs never count as a gain).
     """
     _check_tol(tol)
-    profiles, pay = _scanned(game)
+    labels, pay = _scanned(game)
     stable = np.ones(pay.shape[:-1], dtype=bool)
     for i in range(pay.shape[-1]):
         mine = pay[..., i]
         best = np.fmax.reduce(mine, axis=i, keepdims=True)
         stable &= ~(best > mine + tol)
-    return [profiles[k] for k in np.flatnonzero(stable)]
+    return _profiles_at(labels, np.flatnonzero(stable))
 
 
 # Dominance comparisons run in row blocks of about this many bytes.
@@ -478,7 +486,7 @@ def pareto_optimal(game, tol: float = NASH_TOL) -> list[Profile]:
     highest payoff sum.  Both compare the same floats, so they agree.
     """
     _check_tol(tol)
-    profiles, pay = _scanned(game)
+    labels, pay = _scanned(game)
     rows = pay.reshape(-1, pay.shape[-1])
     if rows.shape[1] == 2:
         alive = np.flatnonzero(~_dominated_pairs(rows, tol))
@@ -489,7 +497,7 @@ def pareto_optimal(game, tol: float = NASH_TOL) -> list[Profile]:
         top = np.argsort(-rows.sum(axis=1), kind="stable")[:_FIRST_PASS]
         alive = np.flatnonzero(~_dominated(rows, rows[top], tol))
         alive = alive[~_dominated(rows[alive], rows, tol)]
-    return [profiles[k] for k in alive]
+    return _profiles_at(labels, alive)
 
 
 def _per_player(value, players: int, what: str) -> list[dict]:
